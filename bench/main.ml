@@ -11,11 +11,11 @@
    (per-phase ms, blocks/s parsed, actor firings/s) so later PRs have a
    perf trajectory to regress against, plus the instrumentation
    overhead on the synthetic flow.  Part 5 runs the multicore scaling
-   study — DSE sweeps and level-parallel SDF execution across 1/2/4
-   domains on random pipeline models — and writes BENCH_parallel.json.
-   Part 6 load-tests `umlfront serve` over loopback — 1/4/16 client
-   domains against an in-process server — and writes BENCH_serve.json
-   (req/s, p50/p95 latency, cache hit ratio per client count).
+   study — DSE sweeps across 1/2/4 domains on random pipeline models,
+   written to BENCH_parallel.json, and the compiled SDF executor
+   against the sequential reference, written to
+   BENCH_exec_compiled.json.  The served daemon is benchmarked end to
+   end by bench/e2e (see bench/e2e/README.md).
 
    Flags: -v/--verbose (Logs to stderr), --smoke (small models/rounds,
    skip the Bechamel micro-benchmarks — what CI's bench-smoke job
@@ -41,7 +41,6 @@ module Exec = Umlfront_dataflow.Exec
 module Compiled = Umlfront_dataflow.Compiled
 module Timing = Umlfront_dataflow.Timing
 module Cs = Umlfront_casestudies
-module Serve = Umlfront_serve
 module Obs = Umlfront_obs
 module Json = Umlfront_obs.Json
 module Pool = Umlfront_parallel.Pool
@@ -606,8 +605,8 @@ let parallel_scaling ~smoke ~outdir () =
     sweep (fun ?pool () -> List.map (fun m -> Core.Dse.explore ?pool m) models)
   in
   print_rows "dse" dse_rows;
-  (* Level-parallel SDF execution on a wide scatter/gather model —
-     the level width (= branches) is what the executor scales with. *)
+  (* SDF execution on a wide scatter/gather model — the level width
+     (= branches) is the parallelism the compiled executor can use. *)
   let branches = if smoke then 6 else 16 in
   let depth = if smoke then 3 else 6 in
   let rounds = if smoke then 50 else 200 in
@@ -621,12 +620,10 @@ let parallel_scaling ~smoke ~outdir () =
   let widest = List.fold_left (fun acc l -> max acc (List.length l)) 0 lvls in
   row "  exec model: %d actors in %d levels (widest %d), %d rounds\n"
     (List.length sdf.Sdf.actors) (List.length lvls) widest rounds;
-  let exec_rows, exec_outcome, exec_seq_ms =
-    sweep (fun ?pool () -> Exec.run ?pool ~rounds sdf)
-  in
-  print_rows "exec" exec_rows;
+  let exec_outcome, exec_seq_ms = best_of reps (fun () -> Exec.run ~rounds sdf) in
+  row "  exec       sequential reference: %8.2f ms\n" exec_seq_ms;
   (* The compiled flat-schedule executor on the same model, diffed
-     against the [Exec.run] baseline: [identical] now means
+     against the sequential [Exec.run] reference: [identical] means
      bit-identical to the reference interpreter, and [speedup_vs_seq]
      is the compiled-over-sequential-reference ratio — the number the
      bench gate watches. *)
@@ -637,7 +634,7 @@ let parallel_scaling ~smoke ~outdir () =
   in
   print_rows "compiled" compiled_rows;
   let all_identical =
-    List.for_all (fun (_, _, _, _, id) -> id) (dse_rows @ exec_rows @ compiled_rows)
+    List.for_all (fun (_, _, _, _, id) -> id) (dse_rows @ compiled_rows)
   in
   row "  determinism: parallel results %s sequential baselines\n"
     (if all_identical then "bit-identical to" else "DIVERGED from");
@@ -653,15 +650,6 @@ let parallel_scaling ~smoke ~outdir () =
                ("models", Json.Int (List.length models));
                ("threads_per_model", Json.Int threads);
                ("sweeps", rows_json dse_rows);
-             ] );
-         ( "exec",
-           Json.Obj
-             [
-               ("actors", Json.Int (List.length sdf.Sdf.actors));
-               ("levels", Json.Int (List.length lvls));
-               ("widest_level", Json.Int widest);
-               ("rounds", Json.Int rounds);
-               ("sweeps", rows_json exec_rows);
              ] );
          ("identical", Json.Bool all_identical);
        ]);
@@ -681,133 +669,6 @@ let parallel_scaling ~smoke ~outdir () =
              ] );
          ("exec_seq_ms", Json.Float exec_seq_ms);
          ("compiled", Json.Obj [ ("sweeps", rows_json compiled_rows) ]);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* Part 6: serving under load — BENCH_serve.json                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Loopback load test of `umlfront serve`: N client domains hammer a
-   fresh in-process server with a fixed mix of lint/transform/simulate
-   requests over the two case-study models.  Each row restarts the
-   server (cold cache), so the hit ratio is a property of the request
-   mix, not of what an earlier row left behind. *)
-
-let percentile p sorted =
-  match Array.length sorted with
-  | 0 -> 0.0
-  | n ->
-      let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) - 1 in
-      sorted.(max 0 (min (n - 1) rank))
-
-let serve_bench ~smoke ~outdir () =
-  section "Part 6 — serving under load (BENCH_serve.json)";
-  (* Always more requests than the 6-element mix, so even the 1-client
-     smoke row repeats targets and exercises the cache. *)
-  let requests_per_client = if smoke then 12 else 24 in
-  let client_counts = [ 1; 4; 16 ] in
-  let didactic = U.Xmi.to_string (Cs.Didactic.model ()) in
-  let crane = U.Xmi.to_string (Cs.Crane_system.model ()) in
-  (* Six distinct (target, body) pairs: every repetition beyond the
-     first six requests of a client mix is a cache hit candidate. *)
-  let mix =
-    List.concat_map
-      (fun target -> [ (target, didactic); (target, crane) ])
-      [ "/api/lint"; "/api/transform"; "/api/simulate?rounds=16" ]
-  in
-  let bench_row ?(access_log = None) ?(trace_sample = 0.0) ?(extra = []) clients =
-    let config =
-      {
-        Serve.Server.default_config with
-        Serve.Server.pool = min 4 (Pool.cpu_count ());
-        max_inflight = 64;
-        access_log;
-        trace_sample;
-      }
-    in
-    let server = Serve.Server.start ~config () in
-    Fun.protect ~finally:(fun () -> Serve.Server.stop server)
-    @@ fun () ->
-    let port = Serve.Server.port server in
-    (* Warm nothing: the first pass over the mix is the miss phase. *)
-    let client _i =
-      let lat = ref [] in
-      for r = 0 to requests_per_client - 1 do
-        let target, body = List.nth mix (r mod List.length mix) in
-        let t0 = Unix.gettimeofday () in
-        let resp = Serve.Serve_client.post ~port target body in
-        let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-        if resp.Serve.Serve_client.status = 200 then lat := ms :: !lat
-        else
-          Printf.eprintf "  serve bench: %s answered %d\n%!" target
-            resp.Serve.Serve_client.status
-      done;
-      !lat
-    in
-    let t0 = Unix.gettimeofday () in
-    let latencies =
-      if clients = 1 then client 0
-      else
-        List.init clients (fun i -> Domain.spawn (fun () -> client i))
-        |> List.concat_map Domain.join
-    in
-    let wall_s = Unix.gettimeofday () -. t0 in
-    let stats = Serve.Server.cache_stats server in
-    let total = clients * requests_per_client in
-    let sorted = Array.of_list latencies in
-    Array.sort compare sorted;
-    let p50 = percentile 50.0 sorted and p95 = percentile 95.0 sorted in
-    let req_per_s = if wall_s > 0.0 then float_of_int total /. wall_s else 0.0 in
-    let hit_ratio =
-      let h = stats.Serve.Cache.hits and m = stats.Serve.Cache.misses in
-      if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
-    in
-    row
-      "  %2d client(s): %4d requests  %8.1f req/s  p50 %6.2f ms  p95 %6.2f ms  \
-       hit ratio %.2f\n"
-      clients total req_per_s p50 p95 hit_ratio;
-    Json.Obj
-      ([
-         ("clients", Json.Int clients);
-         ("requests", Json.Int total);
-         ("ok", Json.Int (Array.length sorted));
-         ("req_per_s", Json.Float req_per_s);
-         ("p50_ms", Json.Float p50);
-         ("p95_ms", Json.Float p95);
-         ("hit_ratio", Json.Float hit_ratio);
-       ]
-      @ extra)
-  in
-  let rows = List.map (fun c -> bench_row c) client_counts in
-  (* The cost of watching: the same 4-client row with the full
-     observability pipeline on — JSONL access log plus 100% span
-     retention — against the plain row above.  Both series land in the
-     document so bench-diff gates the overhead like any other
-     regression. *)
-  let obs_rows =
-    List.map
-      (fun (mode, on) ->
-        let log = Filename.temp_file "umlfront_bench_access" ".jsonl" in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove log with Sys_error _ -> ())
-        @@ fun () ->
-        row "  observability %-3s:" mode;
-        bench_row 4
-          ~access_log:(if on then Some log else None)
-          ~trace_sample:(if on then 1.0 else 0.0)
-          ~extra:[ ("mode", Json.String mode) ])
-      [ ("off", false); ("on", true) ]
-  in
-  write_json ~outdir "BENCH_serve.json"
-    (Json.Obj
-       [
-         ("schema", Json.String "umlfront-bench-serve/1");
-         ("hardware_domains", Json.Int (Pool.cpu_count ()));
-         ("smoke", Json.Bool smoke);
-         ("requests_per_client", Json.Int requests_per_client);
-         ("mix", Json.List (List.map (fun (t, _) -> Json.String t) mix));
-         ("rows", Json.List rows);
-         ("observability", Json.List obs_rows);
        ])
 
 let () =
@@ -847,5 +708,4 @@ let () =
   if not smoke then microbenchmarks ();
   observability_bench ~smoke ~outdir ();
   parallel_scaling ~smoke ~outdir ();
-  serve_bench ~smoke ~outdir ();
   print_endline "\ndone."

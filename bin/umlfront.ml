@@ -78,12 +78,21 @@ let rounds_arg =
   let doc = "Number of execution rounds." in
   Arg.(value & opt int 10 & info [ "n"; "rounds" ] ~docv:"ROUNDS" ~doc)
 
+let jobs_arg_with doc =
+  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
+
 let jobs_arg =
-  let doc =
+  jobs_arg_with
     "Compute on $(docv) domains (0 = all the hardware offers). 1 keeps the \
      run sequential; results are identical either way."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
+
+(* simulate and conform: only the compiled executor runs on a pool. *)
+let compiled_jobs_arg =
+  jobs_arg_with
+    "Run the compiled executor on $(docv) domains (0 = all the hardware \
+     offers).  Only $(b,--engine compiled) and the $(b,compiled) conformance \
+     backend use them; the reference executor is always sequential.  \
+     Results are identical either way."
 
 (* `--engine seq|compiled`: which executor runs the SDF graph — the
    reference interpreter or the compiled flat-schedule one. *)
@@ -306,10 +315,9 @@ let simulate_cmd =
     let output = run_flow path strategy cpus in
     let sdf = Dataflow.Sdf.of_model output.Core.Flow.caam in
     let outcome =
-      with_jobs jobs (fun pool ->
-          match engine with
-          | `Seq -> Dataflow.Exec.run ?pool ~rounds sdf
-          | `Compiled -> Dataflow.Compiled.run ?pool ~rounds sdf)
+      match engine with
+      | `Seq -> Dataflow.Exec.run ~rounds sdf
+      | `Compiled -> with_jobs jobs (fun pool -> Dataflow.Compiled.run ?pool ~rounds sdf)
     in
     if csv then print_string (Dataflow.Trace_export.traces_csv outcome)
     else
@@ -364,7 +372,7 @@ let simulate_cmd =
                  action path strategy cpus rounds csv gantt jobs engine token_json
                    token_dot))
         $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ csv_arg $ gantt_arg
-        $ jobs_arg $ engine_arg $ token_json_arg $ token_dot_arg))
+        $ compiled_jobs_arg $ engine_arg $ token_json_arg $ token_dot_arg))
 
 let codegen_cmd =
   let action path strategy cpus rounds dir lang =
@@ -505,7 +513,7 @@ let plantuml_cmd =
         $ uml_arg $ dir_arg))
 
 let report_cmd =
-  let action path strategy cpus rounds jobs out =
+  let action path strategy cpus rounds out =
     let uml = load path in
     let strategy = effective_strategy strategy cpus in
     match out with
@@ -523,7 +531,7 @@ let report_cmd =
         let ctx = Obs.Context.create ~trace:true ~telemetry:true () in
         let output = Core.Flow.run ~strategy ~ctx uml in
         let sdf = Dataflow.Sdf.of_model output.Core.Flow.caam in
-        ignore (with_jobs jobs (fun pool -> Dataflow.Exec.run ?pool ~ctx ~rounds sdf));
+        ignore (Dataflow.Exec.run ~ctx ~rounds sdf);
         let html =
           Obs.Context.with_current ctx (fun () ->
               Obs.Html_report.render ~model_name:uml.U.Model.model_name
@@ -545,23 +553,21 @@ let report_cmd =
           timelines, journal tail)")
     Term.(
       term_result'
-        (const (fun path strategy cpus rounds jobs out ->
-             protect (fun () -> action path strategy cpus rounds jobs out))
-        $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ jobs_arg $ out_arg))
+        (const (fun path strategy cpus rounds out ->
+             protect (fun () -> action path strategy cpus rounds out))
+        $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ out_arg))
 
 let stats_cmd =
-  let action path strategy cpus rounds jobs format metrics_out =
+  let action path strategy cpus rounds format metrics_out =
     (* Enable the span sink so per-round latency histograms populate;
        keep whatever a surrounding --profile already set up. *)
     if not (Obs.Trace.enabled ()) then Obs.Trace.enable ();
     let output = run_flow path strategy cpus in
     (* Exercise the rest of the pipeline so parser and executor
-       metrics appear alongside the flow's; with --jobs the executor
-       runs level-parallel, so pool occupancy and per-domain firings
-       land in the registry too. *)
+       metrics appear alongside the flow's. *)
     ignore (Umlfront_simulink.Mdl_parser.parse_string output.Core.Flow.mdl);
     let sdf = Dataflow.Sdf.of_model output.Core.Flow.caam in
-    ignore (with_jobs jobs (fun pool -> Dataflow.Exec.run ?pool ~rounds sdf));
+    ignore (Dataflow.Exec.run ~rounds sdf);
     let snapshot = Obs.Metrics.snapshot () in
     let rendered =
       match format with
@@ -611,17 +617,16 @@ let stats_cmd =
           the metrics registry (text, JSON or OpenMetrics)")
     Term.(
       term_result'
-        (const (fun path strategy cpus rounds jobs format metrics_out ->
-             protect (fun () -> action path strategy cpus rounds jobs format metrics_out))
-        $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ jobs_arg $ format_arg
-        $ metrics_out_arg))
+        (const (fun path strategy cpus rounds format metrics_out ->
+             protect (fun () -> action path strategy cpus rounds format metrics_out))
+        $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ format_arg $ metrics_out_arg))
 
 let journal_cmd =
-  let action path strategy cpus rounds jobs kind limit tokens out =
+  let action path strategy cpus rounds kind limit tokens out =
     if tokens then Obs.Telemetry.enable ();
     let output = run_flow path strategy cpus in
     let sdf = Dataflow.Sdf.of_model output.Core.Flow.caam in
-    ignore (with_jobs jobs (fun pool -> Dataflow.Exec.run ?pool ~rounds sdf));
+    ignore (Dataflow.Exec.run ~rounds sdf);
     let es = Obs.Journal.entries () in
     let es = match kind with Some k -> Obs.Journal.filter ~kind:k es | None -> es in
     let es =
@@ -672,11 +677,10 @@ let journal_cmd =
           JSON Lines")
     Term.(
       term_result'
-        (const (fun path strategy cpus rounds jobs kind limit tokens out ->
-             protect (fun () ->
-                 action path strategy cpus rounds jobs kind limit tokens out))
-        $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ jobs_arg $ kind_arg
-        $ limit_arg $ tokens_arg $ out_arg))
+        (const (fun path strategy cpus rounds kind limit tokens out ->
+             protect (fun () -> action path strategy cpus rounds kind limit tokens out))
+        $ uml_arg $ strategy_arg $ cpus_arg $ rounds_arg $ kind_arg $ limit_arg
+        $ tokens_arg $ out_arg))
 
 let bench_diff_cmd =
   let action base current tolerance =
@@ -717,9 +721,9 @@ let bench_diff_cmd =
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
-         "Compare two bench result files (BENCH_obs.json or BENCH_parallel.json \
-          schema) and exit non-zero when a throughput metric regressed beyond \
-          the tolerance")
+         "Compare two bench result files of one schema (BENCH_obs.json, \
+          BENCH_parallel.json or BENCH_exec_compiled.json) and exit non-zero \
+          when a throughput metric regressed beyond the tolerance")
     Term.(
       term_result'
         (const (fun base current tolerance ->
@@ -813,10 +817,10 @@ let conform_format_arg =
     & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
     & info [ "format" ] ~docv:"FORMAT" ~doc:"Report format: text or json.")
 
-(* `--backends seq,par,kpn,c,kpn-src` (default: all). *)
+(* `--backends seq,compiled,kpn,c,kpn-src` (default: all). *)
 let backends_arg =
   let doc =
-    "Comma-separated backends to check: seq, par, compiled, kpn, c, kpn-src \
+    "Comma-separated backends to check: seq, compiled, kpn, c, kpn-src \
      (default: all)."
   in
   Arg.(value & opt (some string) None & info [ "backends" ] ~docv:"LIST" ~doc)
@@ -860,7 +864,7 @@ let conform_cmd =
     (Cmd.info "conform"
        ~doc:
          "Differential conformance check: run the model through every backend \
-          (sequential, parallel, compiled, KPN, generated C, emitted KPN source) \
+          (sequential, compiled, KPN, generated C, emitted KPN source) \
           and diff the traces against the SDF reference executor; exit non-zero \
           on disagreement")
     Term.(
@@ -869,7 +873,7 @@ let conform_cmd =
              protect (fun () ->
                  action path backends engine rounds strategy cpus jobs format))
         $ model_arg $ backends_arg $ engine_arg $ rounds_arg $ strategy_arg $ cpus_arg
-        $ jobs_arg $ conform_format_arg))
+        $ compiled_jobs_arg $ conform_format_arg))
 
 let serve_cmd =
   let module Server = Umlfront_serve.Server in

@@ -13,9 +13,9 @@ val wide : seed:int -> branches:int -> depth:int -> Umlfront_uml.Model.t
 (** A scatter/gather application: a source thread fans out to
     [branches] independent chains of [depth] threads each, gathered by
     a sink — [2 + branches * depth] threads total.  Its SDF dependency
-    levels are [branches] wide, which is what the level-parallel
-    executor scales with; the narrow {!pipeline} shape is the
-    adversarial case.  Always well-formed. *)
+    levels are [branches] wide, which bounds the parallelism the
+    compiled executor's work-stealing engine can use; the narrow
+    {!pipeline} shape is the adversarial case.  Always well-formed. *)
 
 val monolithic : seed:int -> calls:int -> Umlfront_uml.Model.t
 (** A single-threaded model (one thread, a chain of functional calls

@@ -7,16 +7,14 @@ module Compiled = Umlfront_dataflow.Compiled
 module Kpn = Umlfront_dataflow.Kpn
 module Gen_threads = Umlfront_codegen.Gen_threads
 module Gen_kpn = Umlfront_codegen.Gen_kpn
-module Pool = Umlfront_parallel.Pool
 module Obs = Umlfront_obs
 
-type backend = Seq | Par | Compiled_exec | Kpn | C | Kpn_src
+type backend = Seq | Compiled_exec | Kpn | C | Kpn_src
 
-let all_backends = [ Seq; Par; Compiled_exec; Kpn; C; Kpn_src ]
+let all_backends = [ Seq; Compiled_exec; Kpn; C; Kpn_src ]
 
 let backend_name = function
   | Seq -> "seq"
-  | Par -> "par"
   | Compiled_exec -> "compiled"
   | Kpn -> "kpn"
   | C -> "c"
@@ -24,7 +22,6 @@ let backend_name = function
 
 let backend_of_string = function
   | "seq" -> Ok Seq
-  | "par" -> Ok Par
   | "compiled" -> Ok Compiled_exec
   | "kpn" -> Ok Kpn
   | "c" -> Ok C
@@ -32,7 +29,7 @@ let backend_of_string = function
   | other ->
       Error
         (Printf.sprintf
-           "unknown backend %S (expected seq, par, compiled, kpn, c or kpn-src)" other)
+           "unknown backend %S (expected seq, compiled, kpn, c or kpn-src)" other)
 
 (* Which executor produces the reference traces every backend is
    diffed against.  [`Seq] is [Exec.run]; [`Compiled] is the compiled
@@ -147,21 +144,12 @@ let diff_traces ?(provenance = fun _ _ -> None) ~tol ~rounds ~outputs ~reference
 
 let seq_traces ~rounds sdf = (Exec.run ~rounds sdf).Exec.traces
 
-let par_traces ?pool ~rounds sdf =
-  match pool with
-  | Some p -> (Exec.run ~pool:p ~rounds sdf).Exec.traces
-  | None ->
-      Pool.with_pool ~domains:2 (fun p -> (Exec.run ~pool:p ~rounds sdf).Exec.traces)
-
-(* The compiled backend runs the batched work-stealing engine — the
-   interesting path; the sequential flat interpreter is what [`Compiled]
-   as the {e reference} engine exercises. *)
-let compiled_traces ?pool ~rounds sdf =
-  match pool with
-  | Some p -> (Compiled.run ~pool:p ~rounds sdf).Exec.traces
-  | None ->
-      Pool.with_pool ~domains:2 (fun p ->
-          (Compiled.run ~pool:p ~rounds sdf).Exec.traces)
+(* The compiled backend runs on the caller's pool when there is one —
+   the batched work-stealing engine — and sequentially otherwise, as
+   [Compiled.run] itself does.  It never creates domains of its own: a
+   served /api/conform runs inside a daemon worker, where spawning and
+   joining a throwaway pool per call costs more than the check. *)
+let compiled_traces ?pool ~rounds sdf = (Compiled.run ?pool ~rounds sdf).Exec.traces
 
 (* The KPN network as emitted by [Kpn.of_sdf], but with every
    top-level Outport process replaced by a sink that records one
@@ -343,7 +331,7 @@ let kpn_src_verdict ~rounds m sdf =
 (* --- the check ------------------------------------------------------ *)
 
 let tolerance = function
-  | Seq | Par -> 0.0 (* re-run of the same executor: bit-identical *)
+  | Seq -> 0.0 (* re-run of the same executor: bit-identical *)
   | Compiled_exec -> 0.0 (* compiled interpreter replicates Exec bit for bit *)
   | Kpn -> 1e-9
   | C -> 1e-6 (* the C program prints %.9f *)
@@ -393,7 +381,6 @@ let check ?(backends = all_backends) ?(engine = `Seq) ?(rounds = 10) ?pool ?corr
     @@ fun () ->
     match backend with
     | Seq -> traced Seq (fun () -> seq_traces ~rounds sdf)
-    | Par -> traced Par (fun () -> par_traces ?pool ~rounds sdf)
     | Compiled_exec -> traced Compiled_exec (fun () -> compiled_traces ?pool ~rounds sdf)
     | Kpn -> traced Kpn (fun () -> kpn_traces ~rounds sdf)
     | C ->

@@ -12,10 +12,10 @@
     Backends:
     - [Seq]: {!Umlfront_dataflow.Exec.run}, sequential — the reference
       itself (diffing it against itself is the engine's self-test);
-    - [Par]: level-parallel [Exec.run ?pool] on a domain pool;
     - [Compiled_exec]: the compiled flat-schedule interpreter
-      ({!Umlfront_dataflow.Compiled.run}) on its batched work-stealing
-      engine — expected bit-identical to the reference;
+      ({!Umlfront_dataflow.Compiled.run}) — on the caller's pool when
+      {!check} is given one, sequentially otherwise; expected
+      bit-identical to the reference;
     - [Kpn]: the in-memory Kahn process network ({!Umlfront_dataflow.Kpn.of_sdf})
       with per-round collecting sinks spliced over the Outports;
     - [C]: the generated multithreaded C program, compiled with [cc]
@@ -25,13 +25,14 @@
       structurally (channel constants, embedded model round-trip,
       output filter) rather than executed. *)
 
-type backend = Seq | Par | Compiled_exec | Kpn | C | Kpn_src
+type backend = Seq | Compiled_exec | Kpn | C | Kpn_src
 
 val all_backends : backend list
 val backend_name : backend -> string
 
 val backend_of_string : string -> (backend, string) result
-(** Accepts [seq], [par], [compiled], [kpn], [c] and [kpn-src]. *)
+(** Accepts [seq], [compiled], [kpn], [c] and [kpn-src]; the error
+    for anything else names them. *)
 
 type engine = [ `Seq | `Compiled ]
 (** Which executor produces the reference traces: [`Seq] is
@@ -96,8 +97,9 @@ val check :
   report
 (** Run the model through [backends] (default {!all_backends}) for
     [rounds] (default 10) and diff each against the reference traces
-    produced by [engine] (default [`Seq]).  [Par] and [Compiled_exec]
-    use [pool] when given, else a temporary 2-domain pool.
+    produced by [engine] (default [`Seq]).  [Compiled_exec] runs on
+    [pool] when given and sequentially otherwise; [check] never creates
+    domains itself.
 
     [corrupt] is the test-only defect hook: the given function is
     applied to every trace sample the named backend produces before

@@ -24,8 +24,8 @@
    holds round r's token, and within any window of batch consecutive
    rounds all live slots are distinct.
 
-   Parallel scheduling: instead of [Exec]'s barrier per dependency
-   level, rounds are batched per synchronization point and every
+   Parallel scheduling: rather than a barrier per dependency level,
+   rounds are batched per synchronization point and every
    (actor, round) pair becomes a node of a precedence DAG.  A node's
    in-degree counts its same-round non-delay input edges, plus — for
    rounds after the first of the batch — its delay input edges (the

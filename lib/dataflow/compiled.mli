@@ -11,8 +11,8 @@
     the delay's initial token) — and then runs a steady-state loop
     that allocates nothing per round.
 
-    With a real domain pool the level barriers of [Exec.run ?pool] are
-    replaced by work-stealing over the precedence DAG: rounds are
+    With a real domain pool (size > 1) it work-steals over the
+    precedence DAG rather than barrier per dependency level: rounds are
     batched per synchronization point, every (actor, round) firing is
     a node whose in-degree counts its unsatisfied inputs, and workers
     pull ready nodes from per-worker {!Umlfront_parallel.Wsdeque}s,
@@ -24,8 +24,10 @@
     float operations in the same order per actor, the same default
     stimulus, S-function fallback and unconnected-port semantics, and
     the same deterministic token-telemetry stream (replayed in
-    topological commit order at each synchronization point, exactly as
-    the level-parallel executor records it). *)
+    topological order at each synchronization point, exactly as
+    {!Exec.run} records it inline).  It is the only parallel SDF
+    executor: without a pool, or with a 1-domain pool, it runs
+    sequentially and never spawns a domain. *)
 
 (** Bounded single-producer single-consumer FIFOs over preallocated
     float rings — the compiled executor's token storage.  [push]/[pop]

@@ -2,7 +2,6 @@ module S = Umlfront_simulink.System
 module B = Umlfront_simulink.Block
 module G = Umlfront_taskgraph.Graph
 module Algo = Umlfront_taskgraph.Algo
-module Pool = Umlfront_parallel.Pool
 module Obs = Umlfront_obs
 
 exception Deadlock of string list
@@ -27,8 +26,8 @@ let firing_order sdf =
    level is 1 + the max level of its non-UnitDelay predecessors.  Two
    actors in the same level cannot depend on each other within a round
    (a non-delay edge forces a strictly larger level; a delay edge reads
-   the previous round's snapshot), so a whole level may fire in any
-   order — or in parallel. *)
+   the previous round's snapshot).  Lint's buffer-bound rule reads
+   producer/consumer order off these levels. *)
 let levels sdf =
   let order = firing_order sdf in
   let actor name =
@@ -189,11 +188,9 @@ let input_values t (a : Sdf.actor) =
 (* Token telemetry for one firing of [a]: consume the tokens waiting on
    its input channels, then produce one token per outgoing edge, stamped
    with the producing actor, its (1-based) firing index, the round and
-   the protocols the edge crosses.  Callers invoke this in topological
-   firing order — sequentially, or from the sequential commit phase of
-   the level-parallel executor — so a producer always records before
-   its same-round consumers and the FIFO match in the sink lines up
-   with channel semantics. *)
+   the protocols the edge crosses.  Called in topological firing order,
+   so a producer always records before its same-round consumers and
+   the FIFO match in the sink lines up with channel semantics. *)
 let record_tokens t (a : Sdf.actor) =
   let name = a.Sdf.actor_name in
   let firing = Option.value (Hashtbl.find_opt t.firings name) ~default:1 in
@@ -239,54 +236,6 @@ let step t ~stimulus =
   t.round <- t.round + 1;
   List.rev !port_samples
 
-(* One round, level-parallel: each level's combinational behaviours are
-   computed across the pool while the session tables are read-only,
-   then all writes (outputs, delay state, firings, Outport samples) are
-   committed sequentially before the next level starts.  Per actor this
-   performs exactly the operations of the sequential [fire], on the
-   same inputs, so every float is bit-identical to [step]'s — the
-   levels only reorder independent actors. *)
-let step_parallel t pool lvls ~stimulus ~observing =
-  Hashtbl.reset t.outputs;
-  Hashtbl.iter (fun k v -> Hashtbl.replace t.delay_snapshot k v) t.delay_state;
-  let port_samples = ref [] in
-  let tracing = Obs.Telemetry.enabled () in
-  let compute name =
-    let a = session_actor t name in
-    let ins = input_values t a in
-    let outs =
-      match a.Sdf.actor_block.S.blk_type with
-      | B.Unit_delay | B.Inport | B.Outport -> [||] (* committed below *)
-      | _ -> behaviour ~sfunctions:t.sess_sfunctions a ins
-    in
-    if observing then
-      Obs.Metrics.incr (Printf.sprintf "exec.firings.d%d" (Domain.self () :> int));
-    (a, ins, outs)
-  in
-  let commit ((a : Sdf.actor), ins, outs) =
-    let set port v = Hashtbl.replace t.outputs ((a.Sdf.actor_name, port) : string * int) v in
-    (match a.Sdf.actor_block.S.blk_type with
-    | B.Unit_delay ->
-        Hashtbl.replace t.delay_state a.Sdf.actor_name
-          (if a.Sdf.actor_inputs > 0 then ins.(0) else 0.0)
-    | B.Inport -> set 1 (stimulus a.Sdf.actor_name)
-    | B.Outport ->
-        let v = if a.Sdf.actor_inputs > 0 then ins.(0) else 0.0 in
-        port_samples := (a.Sdf.actor_name, v) :: !port_samples
-    | _ -> Array.iteri (fun j v -> set (j + 1) v) outs);
-    Hashtbl.replace t.firings a.Sdf.actor_name
-      (1 + Option.value (Hashtbl.find_opt t.firings a.Sdf.actor_name) ~default:0);
-    if tracing then record_tokens t a
-  in
-  List.iter
-    (fun level ->
-      (* chunk so a wide level costs ~4 tasks per domain, not one per actor *)
-      let chunk = max 1 (List.length level / (4 * Pool.size pool)) in
-      List.iter commit (Pool.map ~chunk pool compute level))
-    lvls;
-  t.round <- t.round + 1;
-  List.rev !port_samples
-
 let default_stimulus name round =
   let h = float_of_int (Hashtbl.hash name mod 10) in
   sin ((float_of_int round +. h) /. 5.0)
@@ -315,7 +264,7 @@ let channel_metrics sdf rounds =
           ~by:(edges * rounds)))
     [ "GFIFO"; "SWFIFO" ]
 
-let run ?sfunctions ?stimulus ?pool ?ctx ~rounds sdf =
+let run ?sfunctions ?stimulus ?ctx ~rounds sdf =
   (match ctx with Some c -> Obs.Context.with_current c | None -> fun f -> f ())
   @@ fun () ->
   Obs.Trace.with_span ~cat:"exec" "exec.run"
@@ -334,32 +283,13 @@ let run ?sfunctions ?stimulus ?pool ?ctx ~rounds sdf =
         ("edges", Obs.Json.Int (List.length sdf.Sdf.edges));
       ];
   let session = start ?sfunctions sdf in
-  (* Level-parallel mode: only when handed a pool that really has
-     worker domains; [levels] shares [firing_order]'s Deadlock check. *)
-  let level_mode =
-    match pool with
-    | Some p when Pool.size p > 1 ->
-        let lvls = levels sdf in
-        Obs.Metrics.set_gauge "exec.levels" (float_of_int (List.length lvls));
-        Obs.Metrics.set_gauge "exec.level_width.max"
-          (float_of_int
-             (List.fold_left (fun acc l -> max acc (List.length l)) 0 lvls));
-        Some (p, lvls)
-    | Some _ | None -> None
-  in
   let traces =
     List.map (fun name -> (name, Array.make rounds 0.0)) sdf.Sdf.graph_outputs
   in
   let observing = Obs.Trace.enabled () in
   for round = 0 to rounds - 1 do
     let t0 = if observing then Obs.Trace.now_us () else 0.0 in
-    let round_stimulus name = stimulus name round in
-    let samples =
-      match level_mode with
-      | Some (p, lvls) ->
-          step_parallel session p lvls ~stimulus:round_stimulus ~observing
-      | None -> step session ~stimulus:round_stimulus
-    in
+    let samples = step session ~stimulus:(fun name -> stimulus name round) in
     if observing then Obs.Metrics.observe "exec.round_us" (Obs.Trace.now_us () -. t0);
     List.iter
       (fun (port, v) ->
@@ -375,7 +305,6 @@ let run ?sfunctions ?stimulus ?pool ?ctx ~rounds sdf =
           Option.value (Hashtbl.find_opt session.firings a.Sdf.actor_name) ~default:0 ))
       sdf.Sdf.actors
   in
-  if level_mode <> None then Obs.Metrics.incr "exec.parallel_rounds" ~by:rounds;
   Obs.Metrics.incr "exec.rounds" ~by:rounds;
   Obs.Metrics.incr "exec.firings" ~by:(List.fold_left (fun acc (_, n) -> acc + n) 0 firings);
   List.iter
@@ -388,7 +317,6 @@ let run ?sfunctions ?stimulus ?pool ?ctx ~rounds sdf =
         ("rounds", Obs.Json.Int rounds);
         ( "firings",
           Obs.Json.Int (List.fold_left (fun acc (_, n) -> acc + n) 0 firings) );
-        ("parallel", Obs.Json.Bool (level_mode <> None));
       ];
   (* With token tracing on, persist each channel's high-water mark in
      the journal — the part of the occupancy story worth keeping after

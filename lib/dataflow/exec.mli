@@ -21,7 +21,6 @@ type outcome = {
 val run :
   ?sfunctions:(string -> (float array -> float array) option) ->
   ?stimulus:(string -> int -> float) ->
-  ?pool:Umlfront_parallel.Pool.t ->
   ?ctx:Umlfront_obs.Context.t ->
   rounds:int ->
   Sdf.t ->
@@ -33,14 +32,9 @@ val run :
     inport round] feeds top-level Inports (default: [sin] of the round
     scaled per port).  Unconnected actor inputs read 0.
 
-    When [pool] is a real (size > 1) domain pool, each round fires the
-    actors level by level (see {!levels}): a level's combinational
-    behaviours are computed across the pool, then its writes — channel
-    outputs, UnitDelay state, Outport samples — are committed before
-    the next level starts.  Delay semantics (§4.2.2) are preserved:
-    UnitDelay consumers still read the previous round's snapshot, and
-    {!Deadlock} is still raised on a zero-delay cycle.  The outcome is
-    bit-identical to the sequential run. *)
+    Always sequential: this is the oracle every other executor and
+    backend is diffed against.  For a parallel run use
+    {!Compiled.run} with a pool — its outcome is bit-identical. *)
 
 val default_sfunction : string -> float array -> int -> float array
 (** The pseudo-behaviour: [default_sfunction name inputs n_outputs]. *)
@@ -69,9 +63,10 @@ val firing_order : Sdf.t -> string list
 val levels : Sdf.t -> string list list
 (** The firing order partitioned into dependency levels: actors in
     level [l] only depend (through non-UnitDelay edges) on actors in
-    levels [< l], so each level can fire in any order or in parallel.
-    Concatenating the levels yields a valid firing order; within a
-    level, actors keep their {!firing_order} relative order.
+    levels [< l], so each level can fire in any order.  Concatenating
+    the levels yields a valid firing order; within a level, actors
+    keep their {!firing_order} relative order.  Lint's buffer-bound
+    rule orders producers and consumers by level.
     @raise Deadlock on a zero-delay cycle. *)
 
 val behaviour :

@@ -5,19 +5,15 @@
    Comparison is schema-aware:
    - umlfront-bench-obs/1: per case (matched by name), blocks/s parsed
      and actor firings/s — higher is better;
-   - umlfront-bench-parallel/1: per sweep point (matched by section and
-     domain count), wall-clock ms — lower is better — and self-scaling
-     speedup — higher is better — plus the parallel-determinism flag,
-     which must not turn false;
+   - umlfront-bench-parallel/1: per DSE sweep point (matched by domain
+     count), wall-clock ms — lower is better — and self-scaling speedup
+     — higher is better — plus the parallel-determinism flag, which
+     must not turn false;
    - umlfront-bench-exec-compiled/1: the compiled executor against the
      sequential reference — speedup_vs_seq per domain count (higher is
-     better), wall-clock ms, and the bit-identity flag;
-   - umlfront-bench-serve/1: per client count (matched by [clients]),
-     req/s — higher is better — and p50/p95 latency ms — lower is
-     better — plus the cache hit ratio, which is a counting property
-     and is judged on any hardware; the observability A/B rows
-     (matched by [mode]) gate the cost of the access log + trace
-     retention pipeline the same way.
+     better), wall-clock ms, and the bit-identity flag.
+
+   The served daemon is benchmarked end to end by bench/e2e, not here.
 
    Multi-domain timing findings are hardware-gated: both documents
    record [hardware_domains] (what the runner actually had), and a
@@ -160,25 +156,21 @@ let sweep_rows section doc =
 (* --- umlfront-bench-parallel/1 -------------------------------------- *)
 
 let parallel_findings ~tolerance base current =
-  let per_section section =
-    let base_rows = sweep_rows section base in
-    List.concat_map
-      (fun (domains, cur) ->
-        match List.assoc_opt domains base_rows with
-        | None -> []
-        | Some old ->
-            let label = Printf.sprintf "%s.%dd" section domains in
-            (* Timing and speedup say nothing on a machine without the
-               domains; bit-identity must hold on any machine. *)
-            (if provisioned ~base ~current domains then
-               num_finding ~tolerance ~direction:Lower_better "ms" label old cur
-               @ num_finding ~tolerance ~direction:Higher_better "speedup" label old
-                   cur
-             else [])
-            @ identical_finding label old cur)
-      (sweep_rows section current)
-  in
-  per_section "dse" @ per_section "exec"
+  let base_rows = sweep_rows "dse" base in
+  List.concat_map
+    (fun (domains, cur) ->
+      match List.assoc_opt domains base_rows with
+      | None -> []
+      | Some old ->
+          let label = Printf.sprintf "dse.%dd" domains in
+          (* Timing and speedup say nothing on a machine without the
+             domains; bit-identity must hold on any machine. *)
+          (if provisioned ~base ~current domains then
+             num_finding ~tolerance ~direction:Lower_better "ms" label old cur
+             @ num_finding ~tolerance ~direction:Higher_better "speedup" label old cur
+           else [])
+          @ identical_finding label old cur)
+    (sweep_rows "dse" current)
 
 (* --- umlfront-bench-exec-compiled/1 ---------------------------------- *)
 
@@ -209,68 +201,6 @@ let exec_compiled_findings ~tolerance base current =
   in
   seq_ms @ rows
 
-(* --- umlfront-bench-serve/1 ------------------------------------------ *)
-
-let serve_findings ~tolerance base current =
-  let rows doc =
-    match Json.member "rows" doc with
-    | Some l ->
-        List.filter_map
-          (fun row ->
-            Option.map (fun c -> (int_of_float c, row)) (member_num "clients" row))
-          (Json.items l)
-    | None -> []
-  in
-  let base_rows = rows base in
-  List.concat_map
-    (fun (clients, cur) ->
-      match List.assoc_opt clients base_rows with
-      | None -> []
-      | Some old ->
-          let label = Printf.sprintf "serve.%dc" clients in
-          (* Latency and throughput under N concurrent clients say
-             nothing about the code on a runner that cannot actually
-             run N clients at once, so those findings are
-             hardware-gated like the sweep points above.  The cache
-             hit ratio is a counting property of the request mix and
-             holds on any machine — never skipped. *)
-          (if provisioned ~base ~current clients then
-             num_finding ~tolerance ~direction:Higher_better "req_per_s" label old
-               cur
-             @ num_finding ~tolerance ~direction:Lower_better "p50_ms" label old cur
-             @ num_finding ~tolerance ~direction:Lower_better "p95_ms" label old cur
-           else [])
-          @ num_finding ~tolerance ~direction:Higher_better "hit_ratio" label old
-              cur)
-    (rows current)
-  @
-  (* The observability A/B series (same row, watching on vs off):
-     matched by mode, judged like any other load row. *)
-  let obs_rows doc =
-    match Json.member "observability" doc with
-    | Some l ->
-        List.filter_map
-          (fun r -> Option.map (fun m -> (m, r)) (member_str "mode" r))
-          (Json.items l)
-    | None -> []
-  in
-  let base_obs = obs_rows base in
-  List.concat_map
-    (fun (mode, cur) ->
-      match List.assoc_opt mode base_obs with
-      | None -> []
-      | Some old ->
-          let clients =
-            match member_num "clients" cur with Some c -> int_of_float c | None -> 1
-          in
-          if provisioned ~base ~current clients then
-            let label = "serve.obs." ^ mode in
-            num_finding ~tolerance ~direction:Higher_better "req_per_s" label old
-              cur
-            @ num_finding ~tolerance ~direction:Lower_better "p95_ms" label old cur
-          else [])
-    (obs_rows current)
-
 (* --- entry points --------------------------------------------------- *)
 
 let compare_docs ?(tolerance = default_tolerance) ~base ~current () =
@@ -283,7 +213,6 @@ let compare_docs ?(tolerance = default_tolerance) ~base ~current () =
       Ok (parallel_findings ~tolerance base current)
   | Some "umlfront-bench-exec-compiled/1", _ ->
       Ok (exec_compiled_findings ~tolerance base current)
-  | Some "umlfront-bench-serve/1", _ -> Ok (serve_findings ~tolerance base current)
   | Some other, _ -> Error (Printf.sprintf "unknown bench schema %S" other)
 
 let regressions findings = List.filter (fun f -> f.f_regression) findings

@@ -112,15 +112,56 @@ let observe ?registry:r name v =
       h.h_next <- h.h_next + 1
   | Counter _ | Gauge _ -> invalid_arg ("metrics: " ^ name ^ " is not a histogram")
 
+(* A merge that overflows the ring keeps a bottom-k sample: the
+   [max_samples] samples with the smallest [sample_key], a 63-bit mix
+   of the sample's bits (murmur3's fmix64) with the value as tie-break.
+   The key is unrelated to magnitude, so the kept samples are a uniform
+   subsample of everything merged and quantiles stay unbiased; and the
+   kept set is a function of the multiset of samples alone, so merge
+   order cannot change it.  Samples repeated bit for bit share a key
+   and are kept or dropped together. *)
+let sample_key v =
+  let mix z = Int64.logxor z (Int64.shift_right_logical z 33) in
+  let z = mix (Int64.bits_of_float v) in
+  let z = mix (Int64.mul z 0xff51afd7ed558ccdL) in
+  Int64.to_int (mix (Int64.mul z 0xc4ceb9fe1a85ec53L))
+
+let by_key a b =
+  match Int.compare (sample_key a) (sample_key b) with
+  | 0 -> Float.compare a b
+  | c -> c
+
+let key_sorted arr =
+  let rec from i =
+    i >= Array.length arr || (by_key arr.(i - 1) arr.(i) <= 0 && from (i + 1))
+  in
+  from 1
+
+(* The first [max_samples] of [a] and [b] in key order; sorts both in
+   place.  Merged rings are stored in key order, so in the common case
+   — a long-lived parent absorbing one small child — only the child is
+   sorted and the rest is a linear merge; a ring filled by [observe] is
+   sorted once. *)
+let bottom_k a b =
+  List.iter (fun arr -> if not (key_sorted arr) then Array.stable_sort by_key arr) [ a; b ];
+  let na = Array.length a and nb = Array.length b in
+  let i = ref 0 and j = ref 0 in
+  Array.init (min (na + nb) max_samples) (fun _ ->
+      if !j >= nb || (!i < na && by_key a.(!i) b.(!j) <= 0) then (
+        i := !i + 1;
+        a.(!i - 1))
+      else (
+        j := !j + 1;
+        b.(!j - 1)))
+
 (* Merge [src] into [into]: counters add, gauges keep the max, and
    histograms combine exact count/sum/min/max while their sample rings
-   are concatenated, sorted numerically and truncated to [max_samples].
-   Every combination rule is commutative, so merging per-domain child
-   registries back into a parent (Context.merge) is independent of the
-   order the children arrive in — as long as the combined sample count
-   stays within the ring, which per-batch forks comfortably do.  The
-   source is snapshotted under its own lock before the destination is
-   locked, so no two registry locks are ever held together. *)
+   are combined by [bottom_k].  Every combination rule is commutative
+   and associative, so merging per-domain child registries back into a
+   parent (Context.merge) is independent of the order the children
+   arrive in.  The source is snapshotted under its own lock before the
+   destination is locked, so no two registry locks are ever held
+   together. *)
 let merge ~into src =
   if src != into then begin
     let entries =
@@ -170,11 +211,8 @@ let merge ~into src =
             match find_or_add into name make with
             | Histogram h ->
                 let kept = min h.h_count max_samples in
-                let combined =
-                  Array.append (Array.sub h.h_ring 0 kept) samples
-                in
-                Array.sort Float.compare combined;
-                let stored = min (Array.length combined) max_samples in
+                let combined = bottom_k (Array.sub h.h_ring 0 kept) samples in
+                let stored = Array.length combined in
                 Array.blit combined 0 h.h_ring 0 stored;
                 h.h_next <- stored;
                 h.h_count <- h.h_count + count;

@@ -1,10 +1,10 @@
 (* Causal token tracing: every token crossing a dataflow channel can
    carry an identity and a provenance — which block produced it, on
    which firing, over which channel, in which round.  The executors
-   (Exec.run sequential and level-parallel, Kpn.run) report into this
-   sink when it is enabled; everything here costs one branch per
-   token when it is off, so the instrumentation lives in the hot
-   paths permanently, like Trace.
+   (Exec.run, Compiled.run sequential or work-stealing, Kpn.run)
+   report into this sink when it is enabled; everything here costs one
+   branch per token when it is off, so the instrumentation lives in
+   the hot paths permanently, like Trace.
 
    What the sink maintains:
    - a bounded ring of tokens (provenance + produce/consume

@@ -193,7 +193,7 @@ let compiled_telemetry_matches_reference () =
   in
   let rounds = 6 in
   let reference =
-    token_stream None sdf rounds (fun ?pool ~rounds sdf -> Exec.run ?pool ~rounds sdf)
+    token_stream None sdf rounds (fun ?pool:_ ~rounds sdf -> Exec.run ~rounds sdf)
   in
   check Alcotest.bool "reference saw tokens" true (reference <> []);
   let compiled_seq =

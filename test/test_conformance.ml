@@ -65,7 +65,6 @@ let engine_tests =
                          (Conform.backend_name b)))
               [
                 Conform.Seq;
-                Conform.Par;
                 Conform.Compiled_exec;
                 Conform.Kpn;
                 Conform.Kpn_src;
@@ -127,6 +126,15 @@ let engine_tests =
           Conform.all_backends;
         check Alcotest.bool "underscore alias" true
           (Conform.backend_of_string "kpn_src" = Ok Conform.Kpn_src);
+        (* par is not a backend; the error lists the valid ones. *)
+        (match Conform.backend_of_string "par" with
+        | Error msg ->
+            List.iter
+              (fun b ->
+                check Alcotest.bool ("names " ^ Conform.backend_name b) true
+                  (contains msg (Conform.backend_name b)))
+              Conform.all_backends
+        | Ok _ -> Alcotest.fail "par should be an unknown backend");
         match Conform.backend_of_string "llvm" with
         | Error msg -> check Alcotest.bool "names culprit" true (contains msg "llvm")
         | Ok _ -> Alcotest.fail "expected error");
@@ -152,6 +160,22 @@ let engine_tests =
             "\"trace\"";
             "\"round\"";
           ]);
+    test "compiled backend without a pool spawns no domains" (fun () ->
+        (* Pool.create sets pool.domains in the current registry, so a
+           throwaway pool inside check would leave it in [ctx]. *)
+        let ctx = Obs.Context.create () in
+        let report =
+          Conform.check ~ctx ~backends:[ Conform.Compiled_exec ] ~rounds:4
+            (crane_caam ())
+        in
+        check Alcotest.bool "compiled agrees" true (Conform.agree report);
+        let names =
+          List.map
+            (fun (s : Obs.Metrics.stat) -> s.Obs.Metrics.s_name)
+            (Obs.Context.with_current ctx Obs.Metrics.snapshot)
+        in
+        check Alcotest.bool "the check ran in ctx" true (List.mem "conform.checks" names);
+        check Alcotest.bool "no pool.domains gauge" false (List.mem "pool.domains" names));
     test "conform metrics count checks and verdicts" (fun () ->
         let before = counter "conform.checks" in
         let disagree_before = counter "conform.disagree" in
@@ -224,7 +248,7 @@ let rec rm_rf path =
   else Sys.remove path
 
 let fast_backends =
-  [ Conform.Seq; Conform.Par; Conform.Compiled_exec; Conform.Kpn; Conform.Kpn_src ]
+  [ Conform.Seq; Conform.Compiled_exec; Conform.Kpn; Conform.Kpn_src ]
 
 let fuzz_tests =
   [

@@ -155,23 +155,14 @@ let span_tree_roots_cover_phases () =
   checkb "root first in rendering"
     (String.length rendered > 8 && String.sub rendered 0 8 = "flow.run")
 
-let sum_counters prefix stats =
+(* pool.tasks.d<i>: one increment per pool task, on whichever domain
+   ran it — the d-digit filter keeps the pool.tasks total out. *)
+let domain_tasks stats =
   List.fold_left
     (fun acc (s : Obs.Metrics.stat) ->
-      if String.starts_with ~prefix s.Obs.Metrics.s_name then
-        acc + s.Obs.Metrics.s_count
-      else acc)
-    0 stats
-
-(* exec.firings.d<i>: one increment per firing, on whichever domain ran
-   it — only the level-parallel executor emits them, so a d-digit
-   prefix filter keeps actor-name counters (exec.firings.<actor>) out. *)
-let domain_firings stats =
-  List.fold_left
-    (fun acc (s : Obs.Metrics.stat) ->
-      let n = String.length "exec.firings.d" in
+      let n = String.length "pool.tasks.d" in
       if
-        String.starts_with ~prefix:"exec.firings.d" s.Obs.Metrics.s_name
+        String.starts_with ~prefix:"pool.tasks.d" s.Obs.Metrics.s_name
         && String.length s.Obs.Metrics.s_name > n
         && (match s.Obs.Metrics.s_name.[n] with '0' .. '9' -> true | _ -> false)
       then acc + s.Obs.Metrics.s_count
@@ -180,24 +171,22 @@ let domain_firings stats =
 
 let pool_folds_workers_back () =
   Pool.with_pool ~domains:3 @@ fun pool ->
-  let global_before = domain_firings (snapshot_in Obs.Context.default) in
+  let global_before = domain_tasks (snapshot_in Obs.Context.default) in
   let ctx = Obs.Context.create ~trace:true () in
   let output = Core.Flow.run ~ctx (CS.Crane_system.model ()) in
   let sdf = Dataflow.Sdf.of_model output.Core.Flow.caam in
-  let rounds = 8 in
-  let outcome = Dataflow.Exec.run ~pool ~ctx ~rounds sdf in
-  let total_firings =
-    List.fold_left (fun acc (_, n) -> acc + n) 0 outcome.Dataflow.Exec.firings
-  in
+  (* 8 rounds in batches of 4: two work-stealing phases, each one
+     parallel_for of one task per domain. *)
+  ignore (Dataflow.Compiled.run ~pool ~ctx ~batch:4 ~rounds:8 sdf);
   let stats = snapshot_in ctx in
-  (* per-domain worker counters merged back equal the total firings *)
-  check Alcotest.int "per-domain firings sum to the total" total_firings
-    (domain_firings stats);
-  checkb "pool task counters folded into the context"
-    (sum_counters "pool.tasks" stats > 0);
+  (* per-domain worker counters merged back equal the task total *)
+  check Alcotest.int "pool.tasks counts one task per domain per batch"
+    (2 * Pool.size pool) (counter_in ctx "pool.tasks");
+  check Alcotest.int "per-domain tasks sum to the total"
+    (counter_in ctx "pool.tasks") (domain_tasks stats);
   (* and none of it leaked into the global default context *)
-  check Alcotest.int "no firings leaked to the default registry" global_before
-    (domain_firings (snapshot_in Obs.Context.default))
+  check Alcotest.int "no tasks leaked to the default registry" global_before
+    (domain_tasks (snapshot_in Obs.Context.default))
 
 let suite =
   [

@@ -95,6 +95,41 @@ let histogram_percentiles () =
       check feq "p99" 99.01 h.Metrics.s_p99
   | l -> Alcotest.failf "expected 1 stat, got %d" (List.length l)
 
+(* 40 children x 500 uniform [0, 1000) samples overflow the 8192-slot
+   ring when merged into one parent.  The kept sample must stay uniform
+   (keeping the smallest samples would answer p50 ~205) and must not
+   depend on the order the children are merged in. *)
+let histogram_merge_overflow_is_unbiased () =
+  let st = Random.State.make [| 7 |] in
+  let children =
+    List.init 40 (fun _ ->
+        let c = fresh () in
+        for _ = 1 to 500 do
+          Metrics.observe ~registry:c "h" (Random.State.float st 1000.0)
+        done;
+        c)
+  in
+  let merged order =
+    let parent = fresh () in
+    List.iter (fun c -> Metrics.merge ~into:parent c) order;
+    match Metrics.snapshot ~registry:parent () with
+    | [ h ] -> h
+    | l -> Alcotest.failf "expected 1 stat, got %d" (List.length l)
+  in
+  let h = merged children in
+  check Alcotest.int "count is exact" 20_000 h.Metrics.s_count;
+  let within name truth v =
+    if Float.abs (v -. truth) > 0.05 *. truth then
+      Alcotest.failf "%s = %.1f, not within 5%% of %.0f" name v truth
+  in
+  within "p50" 500.0 h.Metrics.s_p50;
+  within "p95" 950.0 h.Metrics.s_p95;
+  within "p99" 990.0 h.Metrics.s_p99;
+  let r = merged (List.rev children) in
+  check Alcotest.(list (float 0.0)) "merge order cannot change the sample"
+    [ h.Metrics.s_p50; h.Metrics.s_p95; h.Metrics.s_p99 ]
+    [ r.Metrics.s_p50; r.Metrics.s_p95; r.Metrics.s_p99 ]
+
 let percentile_edge_cases () =
   check feq "single sample" 7.0 (Metrics.percentile [| 7.0 |] 99.0);
   check feq "p0 is min" 1.0 (Metrics.percentile [| 1.0; 2.0; 3.0 |] 0.0);
@@ -510,7 +545,7 @@ let parallel_bench_doc ~ms ~identical =
   Json.Obj
     [
       ("schema", Json.String "umlfront-bench-parallel/1");
-      ( "exec",
+      ( "dse",
         Json.Obj
           [
             ( "sweeps",
@@ -537,13 +572,13 @@ let bench_diff_parallel_schema () =
   in
   (* Wall-clock is lower-better: +40% ms regresses, -40% ms does not. *)
   (match diff (parallel_bench_doc ~ms:140.0 ~identical:true) with
-  | [ f ] -> check Alcotest.string "metric" "exec.2d.ms" f.BD.f_metric
+  | [ f ] -> check Alcotest.string "metric" "dse.2d.ms" f.BD.f_metric
   | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l));
   check Alcotest.int "faster is fine" 0
     (List.length (diff (parallel_bench_doc ~ms:60.0 ~identical:true)));
   (* Losing parallel determinism is always a regression. *)
   match diff (parallel_bench_doc ~ms:100.0 ~identical:false) with
-  | [ f ] -> check Alcotest.string "metric" "exec.2d.identical" f.BD.f_metric
+  | [ f ] -> check Alcotest.string "metric" "dse.2d.identical" f.BD.f_metric
   | l -> Alcotest.failf "expected the identical-flag regression, got %d" (List.length l)
 
 (* A parallel doc that records how many domains the runner had. *)
@@ -577,7 +612,7 @@ let bench_diff_skips_underprovisioned_sweeps () =
        ~base:(parallel_bench_doc_hw ~hw:4 ~ms:100.0 ~identical:true)
        ~current:(parallel_bench_doc_hw ~hw:4 ~ms:500.0 ~identical:true)
    with
-  | [ f ] -> check Alcotest.string "provisioned runner is judged" "exec.2d.ms" f.BD.f_metric
+  | [ f ] -> check Alcotest.string "provisioned runner is judged" "dse.2d.ms" f.BD.f_metric
   | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l));
   match
     diff
@@ -586,7 +621,7 @@ let bench_diff_skips_underprovisioned_sweeps () =
   with
   | [ f ] ->
       check Alcotest.string "identity judged even under-provisioned"
-        "exec.2d.identical" f.BD.f_metric
+        "dse.2d.identical" f.BD.f_metric
   | l -> Alcotest.failf "expected the identical-flag regression, got %d" (List.length l)
 
 let exec_compiled_doc ~hw ~vs_seq_1d ~ms_2d ~identical =
@@ -645,74 +680,6 @@ let bench_diff_exec_compiled_schema () =
       check Alcotest.bool "divergence regresses" true
         (List.exists (fun f -> f.BD.f_metric = "compiled.2d.identical") l)
 
-(* The serve schema's observability A/B rows: matched by mode, judged
-   only on a provisioned runner, absent from older baselines without
-   error. *)
-let serve_doc ~hw ~obs_on_rps =
-  Json.Obj
-    [
-      ("schema", Json.String "umlfront-bench-serve/1");
-      ("hardware_domains", Json.Int hw);
-      ( "rows",
-        Json.List
-          [
-            Json.Obj
-              [
-                ("clients", Json.Int 1);
-                ("req_per_s", Json.Float 100.0);
-                ("p50_ms", Json.Float 1.0);
-                ("p95_ms", Json.Float 2.0);
-                ("hit_ratio", Json.Float 0.5);
-              ];
-          ] );
-      ( "observability",
-        Json.List
-          (List.map
-             (fun (mode, rps) ->
-               Json.Obj
-                 [
-                   ("mode", Json.String mode);
-                   ("clients", Json.Int 4);
-                   ("req_per_s", Json.Float rps);
-                   ("p95_ms", Json.Float 5.0);
-                 ])
-             [ ("off", 100.0); ("on", obs_on_rps) ]) );
-    ]
-
-let bench_diff_serve_observability_rows () =
-  let module BD = Obs.Bench_diff in
-  let diff ~base ~current =
-    match BD.compare_docs ~base ~current () with
-    | Ok findings -> BD.regressions findings
-    | Error e -> Alcotest.fail e
-  in
-  check Alcotest.int "steady numbers pass" 0
-    (List.length
-       (diff ~base:(serve_doc ~hw:8 ~obs_on_rps:95.0)
-          ~current:(serve_doc ~hw:8 ~obs_on_rps:95.0)));
-  (match
-     diff ~base:(serve_doc ~hw:8 ~obs_on_rps:95.0)
-       ~current:(serve_doc ~hw:8 ~obs_on_rps:1.0)
-   with
-  | l ->
-      check Alcotest.bool "collapsed obs-on throughput regresses" true
-        (List.exists (fun f -> f.BD.f_metric = "serve.obs.on.req_per_s") l));
-  check Alcotest.int "1-core runner: 4-client A/B not judged" 0
-    (List.length
-       (diff ~base:(serve_doc ~hw:1 ~obs_on_rps:95.0)
-          ~current:(serve_doc ~hw:1 ~obs_on_rps:1.0)));
-  (* A baseline written before the A/B series existed gates nothing. *)
-  let legacy =
-    Json.Obj
-      [
-        ("schema", Json.String "umlfront-bench-serve/1");
-        ("hardware_domains", Json.Int 8);
-        ("rows", Json.List []);
-      ]
-  in
-  check Alcotest.int "legacy baseline accepted" 0
-    (List.length (diff ~base:legacy ~current:(serve_doc ~hw:8 ~obs_on_rps:1.0)))
-
 let bench_diff_rejects_foreign_documents () =
   let module BD = Obs.Bench_diff in
   let expect_error ~base ~current hint =
@@ -728,7 +695,10 @@ let bench_diff_rejects_foreign_documents () =
   expect_error
     ~base:(Json.Obj [ ("schema", Json.String "nope/9") ])
     ~current:(Json.Obj [ ("schema", Json.String "nope/9") ])
-    "unknown"
+    "unknown";
+  (* The served daemon is benchmarked by bench/e2e, not bench-diff. *)
+  let serve = Json.Obj [ ("schema", Json.String "umlfront-bench-serve/1") ] in
+  expect_error ~base:serve ~current:serve "unknown"
 
 let suite =
   [
@@ -739,6 +709,7 @@ let suite =
         test "json parse rejects malformed input" json_parse_errors;
         test "counters and gauges" counters_and_gauges;
         test "histogram percentiles" histogram_percentiles;
+        test "histogram merge overflow is unbiased" histogram_merge_overflow_is_unbiased;
         test "percentile edge cases" percentile_edge_cases;
         test "percentile tiny counts pinned" percentile_tiny_counts_pinned;
         test "kind mismatch rejected" kind_mismatch;
@@ -761,7 +732,6 @@ let suite =
         test "bench-diff skips under-provisioned sweeps"
           bench_diff_skips_underprovisioned_sweeps;
         test "bench-diff exec-compiled schema" bench_diff_exec_compiled_schema;
-        test "bench-diff serve observability rows" bench_diff_serve_observability_rows;
         test "bench-diff rejects foreign documents" bench_diff_rejects_foreign_documents;
       ] );
   ]

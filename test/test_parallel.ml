@@ -1,8 +1,8 @@
 (* Umlfront_parallel: pool semantics (order preservation, chunking,
-   exception propagation, sequential fallback) and the determinism
-   guarantees of the parallel DSE sweep and the level-parallel SDF
-   executor — the parallel paths must be bit-identical to their
-   sequential counterparts. *)
+   exception propagation, sequential fallback), the SDF dependency
+   levels lint relies on, and the determinism guarantee of the parallel
+   DSE sweep — it must be bit-identical to the sequential sweep.  The
+   compiled executor's parallel determinism is in test_compiled.ml. *)
 
 module Pool = Umlfront_parallel.Pool
 module Core = Umlfront_core
@@ -170,35 +170,6 @@ let levels_deadlock_on_zero_delay_cycle () =
 
 (* --- determinism: parallel == sequential, bit for bit -------------- *)
 
-let outcomes_equal name (a : Exec.outcome) (b : Exec.outcome) =
-  check Alcotest.int (name ^ " rounds") a.Exec.rounds b.Exec.rounds;
-  check
-    Alcotest.(list (pair string (array (float 0.0))))
-    (name ^ " traces (bit-identical)") a.Exec.traces b.Exec.traces;
-  check
-    Alcotest.(list (pair string int))
-    (name ^ " firings") a.Exec.firings b.Exec.firings
-
-let exec_level_parallel_is_deterministic () =
-  let cases =
-    [
-      ("crane", (Core.Flow.run ~strategy:Core.Flow.Use_deployment (Cs.Crane_system.model ())).Core.Flow.caam);
-      ("synthetic", (Core.Flow.run ~strategy:Core.Flow.Infer_linear (Cs.Synthetic_system.model ())).Core.Flow.caam);
-      ("wide-random", (Core.Flow.run ~strategy:Core.Flow.Infer_linear (Cs.Random_models.wide ~seed:5 ~branches:4 ~depth:3)).Core.Flow.caam);
-      ("counter", counter ());
-    ]
-  in
-  List.iter
-    (fun (name, caam) ->
-      let sdf = Sdf.of_model caam in
-      let seq = Exec.run ~rounds:25 sdf in
-      Pool.with_pool ~domains:4 (fun pool ->
-          outcomes_equal name seq (Exec.run ~pool ~rounds:25 sdf));
-      (* a sequential pool takes the plain path and matches too *)
-      Pool.with_pool ~domains:1 (fun pool ->
-          outcomes_equal (name ^ " seq-pool") seq (Exec.run ~pool ~rounds:25 sdf)))
-    cases
-
 let candidates_equal name (a : Core.Dse.result) (b : Core.Dse.result) =
   check Alcotest.bool (name ^ " candidates bit-identical") true
     (a.Core.Dse.candidates = b.Core.Dse.candidates);
@@ -252,8 +223,6 @@ let suite =
         test "levels partition the firing order" levels_partition_firing_order;
         test "levels raise Deadlock on zero-delay cycles"
           levels_deadlock_on_zero_delay_cycle;
-        test "level-parallel exec is bit-identical to sequential"
-          exec_level_parallel_is_deterministic;
         test "parallel DSE sweep is bit-identical to sequential"
           dse_parallel_sweep_is_deterministic;
         test "wide random model is well-formed and wide"

@@ -506,6 +506,19 @@ let e2e_tests =
           (post s "/api/simulate?rounds=zero" xmi).Client.status;
         check Alcotest.int "bad engine" 400
           (post s "/api/simulate?engine=warp" xmi).Client.status);
+    test "backends=par is 400 over HTTP and exit 124 on the CLI" (fun () ->
+        with_server @@ fun s ->
+        let xmi = Lazy.force didactic_xmi in
+        let r = post s "/api/conform?backends=par" xmi in
+        check Alcotest.int "400" 400 r.Client.status;
+        List.iter
+          (fun b ->
+            checkb ("body names " ^ b) (Astring_contains.contains r.Client.body b))
+          [ "seq"; "compiled"; "kpn"; "kpn-src" ];
+        let file = save_xmi xmi in
+        let code, _ = run_cli ("conform --backends par " ^ Filename.quote file) in
+        Sys.remove file;
+        check Alcotest.int "cli exits 124" 124 code);
     test "oversized request body is 413" (fun () ->
         with_server
           ~config:{ Server.default_config with Server.max_body = 1024 }

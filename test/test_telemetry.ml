@@ -123,27 +123,6 @@ let exec_traces_crane_tokens () =
   check Alcotest.int "one channel.hwm entry per channel" (List.length chans)
     (List.length (Obs.Journal.filter ~kind:"channel.hwm" es))
 
-let exec_parallel_tokens_match_sequential () =
-  let sdf = crane_sdf () in
-  let stats pool =
-    with_telemetry @@ fun () ->
-    let _ = D.Exec.run ?pool ~rounds:4 sdf in
-    T.channels ()
-  in
-  let seq = stats None in
-  Umlfront_parallel.Pool.with_pool ~domains:2 (fun pool ->
-      let par = stats (Some pool) in
-      check Alcotest.int "same channel count" (List.length seq) (List.length par);
-      List.iter2
-        (fun a b ->
-          check Alcotest.string "same channel" a.T.chan_name b.T.chan_name;
-          check Alcotest.int (a.T.chan_name ^ " same produced") a.T.chan_produced
-            b.T.chan_produced;
-          check Alcotest.int (a.T.chan_name ^ " same consumed") a.T.chan_consumed
-            b.T.chan_consumed;
-          check Alcotest.int (a.T.chan_name ^ " same hwm") a.T.chan_hwm b.T.chan_hwm)
-        seq par)
-
 (* --- the KPN scheduler reports in ------------------------------------ *)
 
 let kpn_traces_tokens () =
@@ -398,8 +377,6 @@ let suite =
         test "sink: FIFO matching and channel stats" sink_fifo_and_stats;
         test "sink: flow events, token_at, DOT export" sink_exports;
         test "exec: crane tokens traced per round" exec_traces_crane_tokens;
-        test "exec: parallel run traces the same tokens"
-          exec_parallel_tokens_match_sequential;
         test "kpn: tokens traced with write indices" kpn_traces_tokens;
         test "watchdog: deadlock names blocked actors" watchdog_names_blocked_actors;
         test "watchdog: livelock trips the progress budget" watchdog_catches_livelock;
