@@ -531,9 +531,9 @@ let report_cmd =
         let ctx = Obs.Context.create ~trace:true ~telemetry:true () in
         let output = Core.Flow.run ~strategy ~ctx uml in
         let sdf = Dataflow.Sdf.of_model output.Core.Flow.caam in
-        ignore (Dataflow.Exec.run ~ctx ~rounds sdf);
         let html =
           Obs.Context.with_current ctx (fun () ->
+              ignore (Dataflow.Exec.run ~rounds sdf);
               Obs.Html_report.render ~model_name:uml.U.Model.model_name
                 ~events:(Obs.Trace.events ()) ~stats:(Obs.Metrics.snapshot ())
                 ~channels:(Obs.Telemetry.channels ())

@@ -343,10 +343,8 @@ let apply_corrupt corrupt backend traces =
       List.map (fun (port, arr) -> (port, Array.map f arr)) traces
   | _ -> traces
 
-let check ?(backends = all_backends) ?(engine = `Seq) ?(rounds = 10) ?pool ?corrupt ?ctx
+let check ?(backends = all_backends) ?(engine = `Seq) ?(rounds = 10) ?pool ?corrupt
     (m : Model.t) =
-  (match ctx with Some c -> Obs.Context.with_current c | None -> fun f -> f ())
-  @@ fun () ->
   Obs.Trace.with_span ~cat:"conform" "conform.check"
     ~args:(fun () ->
       [

@@ -92,7 +92,6 @@ val check :
   ?rounds:int ->
   ?pool:Umlfront_parallel.Pool.t ->
   ?corrupt:backend * (float -> float) ->
-  ?ctx:Umlfront_obs.Context.t ->
   Umlfront_simulink.Model.t ->
   report
 (** Run the model through [backends] (default {!all_backends}) for
@@ -108,7 +107,7 @@ val check :
 
     Instrumented: a [conform.check] span plus [conform.checks],
     [conform.agree], [conform.disagree] and [conform.unavailable]
-    counters in {!Umlfront_obs.Metrics}.
+    counters, all in the current {!Umlfront_obs.Context}.
 
     @raise Invalid_argument when the model does not flatten and
     @raise Umlfront_dataflow.Exec.Deadlock when the {e reference}

@@ -96,10 +96,8 @@ let write_corpus ~corpus ~rounds ~seed ~count (case : case) minimized =
        case.case_seed seed count);
   dir
 
-let run ?backends ?engine ?(rounds = 10) ?(shrink = true) ?corpus ?corrupt ?progress ?ctx
+let run ?backends ?engine ?(rounds = 10) ?(shrink = true) ?corpus ?corrupt ?progress
     ~seed ~count () =
-  (match ctx with Some c -> Obs.Context.with_current c | None -> fun f -> f ())
-  @@ fun () ->
   Obs.Trace.with_span ~cat:"conform" "conform.fuzz" @@ fun () ->
   let state = Random.State.make [| seed; 0x5eed |] in
   let checked = ref 0 and skipped = ref 0 in

@@ -40,7 +40,6 @@ val run :
   ?corpus:string ->
   ?corrupt:Conform.backend * (float -> float) ->
   ?progress:(case -> unit) ->
-  ?ctx:Umlfront_obs.Context.t ->
   seed:int ->
   count:int ->
   unit ->
@@ -62,4 +61,5 @@ val run :
     after each checked case.
 
     Instrumented: a [conform.fuzz] span plus [conform.fuzz.cases],
-    [conform.fuzz.skipped] and [conform.fuzz.failures] counters. *)
+    [conform.fuzz.skipped] and [conform.fuzz.failures] counters, all in
+    the current {!Umlfront_obs.Context}. *)

@@ -41,9 +41,7 @@ let evaluate ?cost_model uml k =
     delays_inserted = out.Flow.delays_inserted;
   }
 
-let explore ?max_cpus ?cost_model ?pool ?ctx uml =
-  (match ctx with Some c -> Obs.Context.with_current c | None -> fun f -> f ())
-  @@ fun () ->
+let explore ?max_cpus ?cost_model ?pool uml =
   let n_threads = List.length (U.Model.threads uml) in
   if n_threads = 0 then invalid_arg "dse: model has no threads";
   let limit = Option.value max_cpus ~default:n_threads in

@@ -28,13 +28,13 @@ val explore :
   ?max_cpus:int ->
   ?cost_model:Umlfront_dataflow.Timing.cost_model ->
   ?pool:Umlfront_parallel.Pool.t ->
-  ?ctx:Umlfront_obs.Context.t ->
   Umlfront_uml.Model.t ->
   result
 (** [max_cpus] defaults to the thread count (the finest platform linear
     clustering can use).  When [pool] is a real (size > 1) domain pool,
     the per-platform synthesis + timing evaluations run concurrently
     across it; the result is bit-identical to the sequential sweep.
+    Telemetry goes to the current {!Umlfront_obs.Context}.
     @raise Invalid_argument on a model without threads. *)
 
 val summary : result -> string

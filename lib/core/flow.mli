@@ -58,6 +58,8 @@ val run :
     spans, metrics, journal entries and tokens land in [ctx] instead of
     the process-global sinks, so concurrent runs with distinct contexts
     observe fully disjoint telemetry.  Default: the current context.
+    This is the only driver that takes a context; run any other inside
+    {!Umlfront_obs.Context.with_current}.
 
     @raise Invalid_argument on a malformed model, [Use_deployment]
     without a deployment diagram, or a denied lint finding. *)

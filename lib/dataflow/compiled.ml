@@ -305,10 +305,8 @@ let compute_fixed op (ins : float array) (outs : float array) n_prod =
 
 let no_sfunctions : string -> (float array -> float array) option = fun _ -> None
 
-let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?ctx ?(batch = 32) ~rounds p =
+let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds p =
   if batch < 1 then invalid_arg "Compiled.run: batch < 1";
-  (match ctx with Some c -> Obs.Context.with_current c | None -> fun f -> f ())
-  @@ fun () ->
   let par = match pool with Some pl when Pool.size pl > 1 -> Some pl | _ -> None in
   let domains = match par with Some pl -> Pool.size pl | None -> 1 in
   Obs.Trace.with_span ~cat:"exec" "compiled.run"
@@ -631,5 +629,5 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?ctx ?(batch = 32) ~r
     firings;
   }
 
-let run ?sfunctions ?stimulus ?pool ?ctx ?batch ~rounds sdf =
-  run_plan ?sfunctions ?stimulus ?pool ?ctx ?batch ~rounds (compile sdf)
+let run ?sfunctions ?stimulus ?pool ?batch ~rounds sdf =
+  run_plan ?sfunctions ?stimulus ?pool ?batch ~rounds (compile sdf)

@@ -76,7 +76,6 @@ val run_plan :
   ?sfunctions:(string -> (float array -> float array) option) ->
   ?stimulus:(string -> int -> float) ->
   ?pool:Umlfront_parallel.Pool.t ->
-  ?ctx:Umlfront_obs.Context.t ->
   ?batch:int ->
   rounds:int ->
   plan ->
@@ -84,13 +83,12 @@ val run_plan :
 (** Execute a compiled plan.  Same optional arguments and semantics as
     {!Exec.run}; [batch] (default 32, parallel mode only) is how many
     rounds each work-stealing phase covers between synchronization
-    points. *)
+    points.  Telemetry goes to the current {!Umlfront_obs.Context}. *)
 
 val run :
   ?sfunctions:(string -> (float array -> float array) option) ->
   ?stimulus:(string -> int -> float) ->
   ?pool:Umlfront_parallel.Pool.t ->
-  ?ctx:Umlfront_obs.Context.t ->
   ?batch:int ->
   rounds:int ->
   Sdf.t ->
@@ -99,4 +97,5 @@ val run :
     With [pool] of size > 1 the batched work-stealing engine runs;
     otherwise the sequential flat interpreter does.  The outcome —
     traces, firings, rounds — is bit-identical to {!Exec.run} on the
-    same inputs in both modes. *)
+    same inputs in both modes.  Pool workers record into forks of the
+    current {!Umlfront_obs.Context}, merged back when each batch ends. *)

@@ -264,9 +264,7 @@ let channel_metrics sdf rounds =
           ~by:(edges * rounds)))
     [ "GFIFO"; "SWFIFO" ]
 
-let run ?sfunctions ?stimulus ?ctx ~rounds sdf =
-  (match ctx with Some c -> Obs.Context.with_current c | None -> fun f -> f ())
-  @@ fun () ->
+let run ?sfunctions ?stimulus ~rounds sdf =
   Obs.Trace.with_span ~cat:"exec" "exec.run"
     ~args:(fun () ->
       [

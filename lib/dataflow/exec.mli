@@ -21,7 +21,6 @@ type outcome = {
 val run :
   ?sfunctions:(string -> (float array -> float array) option) ->
   ?stimulus:(string -> int -> float) ->
-  ?ctx:Umlfront_obs.Context.t ->
   rounds:int ->
   Sdf.t ->
   outcome
@@ -34,7 +33,10 @@ val run :
 
     Always sequential: this is the oracle every other executor and
     backend is diffed against.  For a parallel run use
-    {!Compiled.run} with a pool — its outcome is bit-identical. *)
+    {!Compiled.run} with a pool — its outcome is bit-identical.
+
+    Telemetry goes to the current {!Umlfront_obs.Context}; wrap the
+    call in {!Umlfront_obs.Context.with_current} to send it elsewhere. *)
 
 val default_sfunction : string -> float array -> int -> float array
 (** The pseudo-behaviour: [default_sfunction name inputs n_outputs]. *)

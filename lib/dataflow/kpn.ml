@@ -82,9 +82,7 @@ let stall_json st =
           (List.map (fun (ch, n) -> (ch, Obs.Json.Int n)) st.stall_channels) );
     ]
 
-let run ?(fuel = 100_000) ?capacity ?watchdog ?ctx named =
-  (match ctx with Some c -> Obs.Context.with_current c | None -> fun f -> f ())
-  @@ fun () ->
+let run ?(fuel = 100_000) ?capacity ?watchdog named =
   let channels : (string, float Queue.t) Hashtbl.t = Hashtbl.create 16 in
   let channel name =
     match Hashtbl.find_opt channels name with

@@ -48,7 +48,6 @@ val stall_json : stall -> Umlfront_obs.Json.t
 
 val run :
   ?fuel:int -> ?capacity:int -> ?watchdog:int ->
-  ?ctx:Umlfront_obs.Context.t ->
   (string * float process) list -> outcome
 (** [fuel] bounds total scheduler steps (default 100_000); exceeding it
     raises {!Out_of_fuel} (e.g. a livelocked network).  [capacity]
@@ -64,7 +63,8 @@ val run :
 
     Deadlock victims are recorded in the {!Umlfront_obs.Journal}; when
     {!Umlfront_obs.Telemetry} is enabled every token push/pop is traced
-    with its producing process and write index.
+    with its producing process and write index.  Both land in the
+    current {!Umlfront_obs.Context}.
 
     @raise Deadlock when all unfinished processes block (on empty reads
     or, with [capacity], on full writes). *)

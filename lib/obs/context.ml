@@ -1,6 +1,6 @@
-(* A reentrant telemetry context: one trace-id'd bundle of the four
-   observability sinks — span buffer (Trace), metrics registry
-   (Metrics), journal ring (Journal) and token sink (Telemetry).
+(* A reentrant telemetry context: one bundle of the four observability
+   sinks — span buffer (Trace), metrics registry (Metrics), journal
+   ring (Journal) and token sink (Telemetry).
 
    Historically all four were process-global singletons, which made
    Core.Flow a one-shot pipeline: a second concurrent run scribbled
@@ -8,42 +8,36 @@
    bundle an explicit heap value.  The global singletons survive as
    [default], and every instrumented call site keeps writing through a
    domain-local *current* context, so existing CLI paths and tests see
-   exactly the old behaviour until someone passes [?ctx].
+   exactly the old behaviour until someone installs another one.
 
    [with_current] installs a context for the extent of a callback
    (saving and restoring whatever was current, so nesting works);
-   [fork] derives a cheap per-domain child for pool workers; [merge]
-   folds children back into their parent deterministically — the trio
-   the lib/parallel pool uses to give `-j` runs one coherent trace tree
-   instead of interleaved globals. *)
+   [fork] derives a cheap child — per pool worker domain, per served
+   request; [merge] folds children back into their parent
+   deterministically — the trio the lib/parallel pool uses to give `-j`
+   runs one coherent trace tree instead of interleaved globals. *)
 
 type t = {
-  id : int; (* trace id: unique per process, 0 is the default context *)
   trace : Trace.sink;
   metrics : Metrics.t;
   journal : Journal.sink;
   telemetry : Telemetry.sink;
 }
 
-let next_id = Atomic.make 1
-
 let default =
   {
-    id = 0;
     trace = Trace.default;
     metrics = Metrics.global;
     journal = Journal.default;
     telemetry = Telemetry.default;
   }
 
-(* [trace]/[telemetry] arm the respective sinks at creation;
-   [journal_capacity] sizes the journal ring. *)
-let create ?(trace = false) ?(telemetry = false) ?journal_capacity () =
+(* [trace]/[telemetry] arm the respective sinks at creation. *)
+let create ?(trace = false) ?(telemetry = false) () =
   {
-    id = Atomic.fetch_and_add next_id 1;
     trace = Trace.create ~on:trace ();
     metrics = Metrics.create ();
-    journal = Journal.create ?capacity:journal_capacity ();
+    journal = Journal.create ();
     telemetry = Telemetry.create ~on:telemetry ();
   }
 
@@ -67,16 +61,15 @@ let with_current ctx f =
   install ctx;
   Fun.protect ~finally:(fun () -> install prev) f
 
-(* A child context for one pool worker domain: fresh span buffer and
-   metrics registry (the two surfaces workers write concurrently), with
-   the journal and token sink aliased to the parent — their recording
-   happens in owner-side commit phases, and aliasing keeps forks cheap
-   enough to take per batch.  [root_parent] is the span that was open
-   where the batch was submitted; the child's spans attach under it so
-   the merged buffer forms one tree. *)
+(* A child context: fresh span buffer and metrics registry (the two
+   surfaces concurrent children write), with the journal and token
+   sink shared with the parent — their entries land there as they
+   happen, and sharing keeps forks cheap enough to take per batch or
+   per request.  [root_parent] is the span that was open where the
+   child was taken; its spans attach under it so the merged buffer
+   forms one tree. *)
 let fork ?(root_parent = -1) parent =
   {
-    id = Atomic.fetch_and_add next_id 1;
     trace = Trace.fork ~root_parent parent.trace;
     metrics = Metrics.create ();
     journal = parent.journal;
@@ -87,24 +80,8 @@ let fork ?(root_parent = -1) parent =
    sum, gauges keep the max, histograms combine, and span buffers are
    re-sorted by (timestamp, span id) after concatenation — every rule
    is commutative, so the result does not depend on the order the
-   children are listed in.  Sinks a child aliases from the parent
-   (forked journals and token sinks) are recognized by physical
-   equality and skipped. *)
+   children are listed in.  Journals and token sinks are not merged:
+   a fork already writes into its parent's. *)
 let merge ~into children =
-  let seen_journals = ref [ into.journal ] in
-  let seen_telemetry = ref [ into.telemetry ] in
-  List.iter
-    (fun child ->
-      if child != into then begin
-        Metrics.merge ~into:into.metrics child.metrics;
-        if not (List.memq child.journal !seen_journals) then begin
-          Journal.merge ~into:into.journal child.journal;
-          seen_journals := child.journal :: !seen_journals
-        end;
-        if not (List.memq child.telemetry !seen_telemetry) then begin
-          Telemetry.merge ~into:into.telemetry child.telemetry;
-          seen_telemetry := child.telemetry :: !seen_telemetry
-        end
-      end)
-    children;
+  List.iter (fun child -> Metrics.merge ~into:into.metrics child.metrics) children;
   Trace.absorb ~into:into.trace (List.map (fun c -> c.trace) children)

@@ -18,7 +18,7 @@
 
 type entry = {
   j_seq : int; (* monotonically increasing, survives ring wrap *)
-  j_ts_us : float; (* microseconds since process start (journal init) *)
+  j_ts_us : float; (* microseconds since [origin] *)
   j_kind : string; (* dotted event name, e.g. "exec.round" *)
   j_fields : (string * Json.t) list;
 }
@@ -29,19 +29,17 @@ type sink = {
   mutable ring : entry option array;
   mutable next_seq : int;
   mutable dropped : int;
-  t0 : float; (* Unix time at sink creation, seconds *)
   lock : Mutex.t;
 }
 
+(* Every sink stamps against this one process-wide origin (Unix time,
+   seconds), so entries of any two sinks compare and a merge keeps the
+   newest. *)
+let origin = Unix.gettimeofday ()
+
 let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "journal: capacity must be >= 1";
-  {
-    ring = Array.make capacity None;
-    next_seq = 0;
-    dropped = 0;
-    t0 = Unix.gettimeofday ();
-    lock = Mutex.create ();
-  }
+  { ring = Array.make capacity None; next_seq = 0; dropped = 0; lock = Mutex.create () }
 
 let default = create ()
 
@@ -51,25 +49,13 @@ let current () = Domain.DLS.get current_key
 
 let set_current s = Domain.DLS.set current_key s
 
-let locked s f =
-  Mutex.lock s.lock;
-  match f () with
-  | v ->
-      Mutex.unlock s.lock;
-      v
-  | exception e ->
-      Mutex.unlock s.lock;
-      raise e
-
-let now_us_in s = (Unix.gettimeofday () -. s.t0) *. 1e6
-
 let capacity () =
   let s = current () in
-  locked s (fun () -> Array.length s.ring)
+  Mutex.protect s.lock (fun () -> Array.length s.ring)
 
 let reset () =
   let s = current () in
-  locked s @@ fun () ->
+  Mutex.protect s.lock @@ fun () ->
   Array.fill s.ring 0 (Array.length s.ring) None;
   s.next_seq <- 0;
   s.dropped <- 0
@@ -78,7 +64,7 @@ let reset () =
 let set_capacity n =
   if n < 1 then invalid_arg "journal: capacity must be >= 1";
   let s = current () in
-  locked s @@ fun () ->
+  Mutex.protect s.lock @@ fun () ->
   s.ring <- Array.make n None;
   s.next_seq <- 0;
   s.dropped <- 0
@@ -87,8 +73,8 @@ let set_capacity n =
    what a daemon uses to land access entries in its root journal from
    whichever worker domain handled the request. *)
 let record_in s ?(fields = []) kind =
-  let ts = now_us_in s in
-  locked s @@ fun () ->
+  let ts = (Unix.gettimeofday () -. origin) *. 1e6 in
+  Mutex.protect s.lock @@ fun () ->
   let slot = s.next_seq mod Array.length s.ring in
   if s.ring.(slot) <> None then s.dropped <- s.dropped + 1;
   s.ring.(slot) <-
@@ -99,54 +85,42 @@ let record ?fields kind = record_in (current ()) ?fields kind
 
 let dropped () =
   let s = current () in
-  locked s (fun () -> s.dropped)
+  Mutex.protect s.lock (fun () -> s.dropped)
 
 (* Oldest first; the ring is read starting at the slot the next append
-   would overwrite. *)
-let entries_in s =
-  locked s @@ fun () ->
+   would overwrite.  The caller holds [s.lock]. *)
+let ordered s =
   let cap = Array.length s.ring in
   let start = s.next_seq mod cap in
   let rec collect i acc =
-    if i = cap then List.rev acc
+    if i < 0 then acc
     else
-      match s.ring.((start + i) mod cap) with
-      | Some e -> collect (i + 1) (e :: acc)
-      | None -> collect (i + 1) acc
+      collect (i - 1)
+        (match s.ring.((start + i) mod cap) with Some e -> e :: acc | None -> acc)
   in
-  collect 0 []
+  collect (cap - 1) []
+
+let entries_in s = Mutex.protect s.lock (fun () -> ordered s)
 
 let entries () = entries_in (current ())
 
 (* Merge [src]'s entries into [into], re-sequenced in timestamp order
-   together with what [into] already holds.  Physically-equal sinks are
-   skipped (forked contexts alias their parent's journal), and the
+   together with what [into] already holds; when the ring overflows,
+   the oldest go.  Physically-equal sinks are skipped, and the
    (ts, kind) sort makes the merge order-independent. *)
 let merge ~into src =
   if src != into then begin
-    let incoming = entries_in src in
-    let drop = locked src (fun () -> src.dropped) in
-    locked into @@ fun () ->
-    let cap = Array.length into.ring in
-    let existing =
-      let start = into.next_seq mod cap in
-      let rec collect i acc =
-        if i = cap then List.rev acc
-        else
-          match into.ring.((start + i) mod cap) with
-          | Some e -> collect (i + 1) (e :: acc)
-          | None -> collect (i + 1) acc
-      in
-      collect 0 []
-    in
+    let incoming, drop = Mutex.protect src.lock (fun () -> (ordered src, src.dropped)) in
+    Mutex.protect into.lock @@ fun () ->
     let combined =
       List.sort
         (fun a b ->
           match Float.compare a.j_ts_us b.j_ts_us with
           | 0 -> String.compare a.j_kind b.j_kind
           | c -> c)
-        (existing @ incoming)
+        (ordered into @ incoming)
     in
+    let cap = Array.length into.ring in
     Array.fill into.ring 0 cap None;
     into.next_seq <- 0;
     into.dropped <- into.dropped + drop;

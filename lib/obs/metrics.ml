@@ -36,16 +36,6 @@ type t = {
 
 let create () = { table = Hashtbl.create 64; names = []; lock = Mutex.create () }
 
-let locked r f =
-  Mutex.lock r.lock;
-  match f () with
-  | v ->
-      Mutex.unlock r.lock;
-      v
-  | exception e ->
-      Mutex.unlock r.lock;
-      raise e
-
 (* The process-global registry that instrumented passes record into
    unless a Context has installed a different current registry on this
    domain (see context.ml). *)
@@ -61,7 +51,7 @@ let registry = function Some r -> r | None -> current ()
 
 let reset ?registry:r () =
   let r = registry r in
-  locked r @@ fun () ->
+  Mutex.protect r.lock @@ fun () ->
   Hashtbl.reset r.table;
   r.names <- []
 
@@ -76,14 +66,14 @@ let find_or_add r name make =
 
 let incr ?registry:r ?(by = 1) name =
   let r = registry r in
-  locked r @@ fun () ->
+  Mutex.protect r.lock @@ fun () ->
   match find_or_add r name (fun () -> Counter { c = 0 }) with
   | Counter c -> c.c <- c.c + by
   | Gauge _ | Histogram _ -> invalid_arg ("metrics: " ^ name ^ " is not a counter")
 
 let set_gauge ?registry:r name v =
   let r = registry r in
-  locked r @@ fun () ->
+  Mutex.protect r.lock @@ fun () ->
   match find_or_add r name (fun () -> Gauge { g = 0.0 }) with
   | Gauge g -> g.g <- v
   | Counter _ | Histogram _ -> invalid_arg ("metrics: " ^ name ^ " is not a gauge")
@@ -101,7 +91,7 @@ let observe ?registry:r name v =
       }
   in
   let r = registry r in
-  locked r @@ fun () ->
+  Mutex.protect r.lock @@ fun () ->
   match find_or_add r name make with
   | Histogram h ->
       h.h_count <- h.h_count + 1;
@@ -165,7 +155,7 @@ let bottom_k a b =
 let merge ~into src =
   if src != into then begin
     let entries =
-      locked src (fun () ->
+      Mutex.protect src.lock (fun () ->
           List.rev_map
             (fun name -> (name, Hashtbl.find src.table name))
             src.names)
@@ -182,7 +172,7 @@ let merge ~into src =
                 `H (h.h_count, h.h_sum, h.h_min, h.h_max, Array.sub h.h_ring 0 kept) ))
         entries
     in
-    locked into @@ fun () ->
+    Mutex.protect into.lock @@ fun () ->
     List.iter
       (fun (name, payload) ->
         match payload with
@@ -301,7 +291,8 @@ let stat_of r name =
 
 let snapshot ?registry:r () =
   let r = registry r in
-  locked r @@ fun () -> List.filter_map (stat_of r) (List.sort String.compare r.names)
+  Mutex.protect r.lock @@ fun () ->
+  List.filter_map (stat_of r) (List.sort String.compare r.names)
 
 let stat_json (s : stat) =
   let base = [ ("name", Json.String s.s_name); ("kind", Json.String s.s_kind) ] in

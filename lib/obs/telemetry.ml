@@ -8,7 +8,8 @@
 
    What the sink maintains:
    - a bounded ring of tokens (provenance + produce/consume
-     timestamps), oldest dropped first;
+     timestamps), oldest dropped first, allocated on the first
+     [produce] so that an armed sink no executor feeds stays small;
    - per-channel statistics: produced/consumed counts, current
      occupancy, high-water mark (and the round it was reached), plus
      a bounded occupancy timeline for plotting;
@@ -63,7 +64,7 @@ type chan = {
 
 type sink = {
   mutable on : bool;
-  ring : token option array;
+  mutable ring : token option array; (* [||] until the first produce *)
   mutable next_id : int;
   mutable dropped : int;
   channels : (string, chan) Hashtbl.t;
@@ -74,7 +75,7 @@ type sink = {
 let create ?(on = false) () =
   {
     on;
-    ring = Array.make max_tokens None;
+    ring = [||];
     next_id = 0;
     dropped = 0;
     channels = Hashtbl.create 64;
@@ -94,20 +95,13 @@ let set_current s = Domain.DLS.set current_key s
 
 let with_sink f =
   let s = current () in
-  Mutex.lock s.lock;
-  match f s with
-  | v ->
-      Mutex.unlock s.lock;
-      v
-  | exception e ->
-      Mutex.unlock s.lock;
-      raise e
+  Mutex.protect s.lock (fun () -> f s)
 
 let enabled () = (current ()).on
 
 let reset () =
   with_sink @@ fun sink ->
-  Array.fill sink.ring 0 max_tokens None;
+  sink.ring <- [||];
   sink.next_id <- 0;
   sink.dropped <- 0;
   Hashtbl.reset sink.channels;
@@ -168,6 +162,7 @@ let produce ?(protocols = []) ?(round = -1) ?(dst = "") ~src ~firing channel =
       consumed_us = Float.nan;
     }
   in
+  if Array.length sink.ring = 0 then sink.ring <- Array.make max_tokens None;
   let slot = id mod max_tokens in
   if sink.ring.(slot) <> None then sink.dropped <- sink.dropped + 1;
   sink.ring.(slot) <- Some tok;
@@ -212,68 +207,21 @@ let consume ?by channel =
       | _ -> ());
       Some prov
 
-(* Merge [src]'s per-channel statistics into [into]: produced/consumed
-   counts and occupancy add, high-water marks keep the max (ties keep
-   the earliest round, so merging is order-independent).  Token rings
-   and pending FIFOs are not migrated — matching across sinks would
-   fabricate causality the sinks never observed.  Physically-equal
-   sinks are skipped: forked contexts alias their parent's token sink. *)
-let merge ~into src =
-  if src != into then begin
-    let stats =
-      Mutex.lock src.lock;
-      let s =
-        List.rev_map
-          (fun name ->
-            let c = Hashtbl.find src.channels name in
-            ( name,
-              c.c_produced,
-              c.c_consumed,
-              c.c_occ,
-              c.c_hwm,
-              c.c_hwm_round,
-              c.c_protocols ))
-          src.channel_names
-      in
-      Mutex.unlock src.lock;
-      s
-    in
-    let drop =
-      Mutex.lock src.lock;
-      let d = src.dropped in
-      Mutex.unlock src.lock;
-      d
-    in
-    Mutex.lock into.lock;
-    into.dropped <- into.dropped + drop;
-    List.iter
-      (fun (name, produced, consumed, occ, hwm, hwm_round, protocols) ->
-        let c = chan_of into name in
-        if protocols <> [] && c.c_protocols = [] then c.c_protocols <- protocols;
-        c.c_produced <- c.c_produced + produced;
-        c.c_consumed <- c.c_consumed + consumed;
-        c.c_occ <- c.c_occ + occ;
-        if hwm > c.c_hwm || (hwm = c.c_hwm && hwm_round < c.c_hwm_round) then (
-          c.c_hwm <- hwm;
-          c.c_hwm_round <- hwm_round))
-      stats;
-    Mutex.unlock into.lock
-  end
-
 let dropped () = with_sink (fun sink -> sink.dropped)
 
 (* Oldest first. *)
 let tokens () =
   with_sink @@ fun sink ->
-  let start = sink.next_id mod max_tokens in
+  let cap = Array.length sink.ring in
   let rec collect i acc =
-    if i = max_tokens then List.rev acc
+    if i < 0 then acc
     else
-      match sink.ring.((start + i) mod max_tokens) with
-      | Some t -> collect (i + 1) (t :: acc)
-      | None -> collect (i + 1) acc
+      collect (i - 1)
+        (match sink.ring.((sink.next_id + i) mod cap) with
+        | Some t -> t :: acc
+        | None -> acc)
   in
-  collect 0 []
+  collect (cap - 1) []
 
 let channels () =
   with_sink @@ fun sink ->

@@ -78,16 +78,6 @@ let current () = Domain.DLS.get current_key
 
 let set_current s = Domain.DLS.set current_key s
 
-let locked s f =
-  Mutex.lock s.lock;
-  match f () with
-  | v ->
-      Mutex.unlock s.lock;
-      v
-  | exception e ->
-      Mutex.unlock s.lock;
-      raise e
-
 let tid () = 1 + (Domain.self () :> int)
 
 let now_us_in s = (Unix.gettimeofday () -. s.t0) *. 1e6
@@ -98,7 +88,7 @@ let enabled () = (current ()).on
 
 let reset () =
   let s = current () in
-  locked s @@ fun () ->
+  Mutex.protect s.lock @@ fun () ->
   s.events <- [];
   s.n_buffered <- 0;
   s.process_name <- None;
@@ -124,16 +114,17 @@ let set_stack s st = Hashtbl.replace s.stacks (Domain.self () :> int) st
 
 let depth () =
   let s = current () in
-  locked s (fun () -> List.length (stack_of s))
+  Mutex.protect s.lock (fun () -> List.length (stack_of s))
 
 (* Innermost open span id on this domain, or the sink's inherited root:
    the parent a new child span (or a forked child sink) should attach
    under. *)
 let innermost () =
   let s = current () in
-  locked s (fun () -> match stack_of s with id :: _ -> id | [] -> s.root_parent)
+  Mutex.protect s.lock @@ fun () ->
+  match stack_of s with id :: _ -> id | [] -> s.root_parent
 
-let events_in s = locked s (fun () -> List.rev s.events)
+let events_in s = Mutex.protect s.lock (fun () -> List.rev s.events)
 
 let events () = events_in (current ())
 
@@ -142,7 +133,7 @@ let buffer_hwm () = (current ()).buffer_hwm
 let nesting_hwm () = (current ()).nesting_hwm
 
 let record_in s ev =
-  locked s (fun () ->
+  Mutex.protect s.lock (fun () ->
       s.events <- ev :: s.events;
       s.n_buffered <- s.n_buffered + 1;
       if s.n_buffered > s.buffer_hwm then s.buffer_hwm <- s.n_buffered)
@@ -152,7 +143,7 @@ let record ev = record_in (current ()) ev
 let instant ?(cat = "event") ?(args = []) name =
   let s = current () in
   if s.on then
-    let parent = locked s (fun () -> match stack_of s with id :: _ -> id | [] -> s.root_parent) in
+    let parent = innermost () in
     record_in s
       { ev_id = fresh_id (); ev_parent = parent; ev_name = name; ev_cat = cat;
         ev_ph = 'i'; ev_ts = now_us_in s; ev_dur = 0.0; ev_tid = tid (); ev_args = args }
@@ -173,7 +164,7 @@ let with_span ?(cat = "span") ?args name f =
     let alloc0 = Gc.allocated_bytes () in
     let id = fresh_id () in
     let parent =
-      locked s (fun () ->
+      Mutex.protect s.lock (fun () ->
           let st = stack_of s in
           let parent = match st with p :: _ -> p | [] -> s.root_parent in
           set_stack s (id :: st);
@@ -191,7 +182,7 @@ let with_span ?(cat = "span") ?args name f =
       let alloc = Gc.allocated_bytes () -. alloc0 in
       Fun.protect
         ~finally:(fun () ->
-          locked s (fun () ->
+          Mutex.protect s.lock (fun () ->
               set_stack s (match stack_of s with _ :: rest -> rest | [] -> [])))
         (fun () ->
           let computed = match args with Some g -> g () | None -> [] in
@@ -236,11 +227,11 @@ let event_order a b =
 let absorb ~into children =
   let fresh =
     List.concat_map
-      (fun c -> if c == into then [] else locked c (fun () -> c.events))
+      (fun c -> if c == into then [] else Mutex.protect c.lock (fun () -> c.events))
       children
   in
   if fresh <> [] then
-    locked into (fun () ->
+    Mutex.protect into.lock (fun () ->
         into.events <- List.sort (fun a b -> event_order b a) (fresh @ into.events);
         into.n_buffered <- into.n_buffered + List.length fresh;
         if into.n_buffered > into.buffer_hwm then into.buffer_hwm <- into.n_buffered);
@@ -261,7 +252,7 @@ let last_dur_us name =
     | ev :: rest ->
         if ev.ev_ph = 'X' && String.equal ev.ev_name name then Some ev.ev_dur else find rest
   in
-  locked s (fun () -> find s.events)
+  Mutex.protect s.lock (fun () -> find s.events)
 
 let event_json ev =
   let base =
@@ -317,7 +308,7 @@ let metadata_json s sorted =
    humans (and the bench harness) read. *)
 let to_json ?(metrics = []) () =
   let s = current () in
-  let sorted = List.sort event_order (locked s (fun () -> List.rev s.events)) in
+  let sorted = List.sort event_order (events_in s) in
   Json.Obj
     [
       ( "traceEvents",

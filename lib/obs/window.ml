@@ -65,16 +65,6 @@ let bucket_s t = t.bucket_s
 let buckets t = Array.length t.ring
 let max_window_s t = t.bucket_s *. float_of_int (Array.length t.ring)
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
-
 let index_at t now = int_of_float (Float.floor (now /. t.bucket_s))
 
 (* The live bucket for [now], recycling the ring slot if it still holds
@@ -91,7 +81,7 @@ let live_bucket t now =
 
 let add ?(by = 1) t name =
   let now = t.clock () in
-  locked t @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   let b = live_bucket t now in
   match Hashtbl.find_opt b.b_counts name with
   | Some r -> r := !r + by
@@ -99,7 +89,7 @@ let add ?(by = 1) t name =
 
 let observe t name v =
   let now = t.clock () in
-  locked t @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   let b = live_bucket t now in
   let s =
     match Hashtbl.find_opt b.b_samples name with
@@ -134,7 +124,7 @@ let fold_window t ~window_s f init =
   !acc
 
 let sum t ~window_s name =
-  locked t @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   fold_window t ~window_s
     (fun acc b ->
       match Hashtbl.find_opt b.b_counts name with
@@ -154,7 +144,7 @@ type quantiles = {
 
 let quantiles t ~window_s name =
   let count, chunks =
-    locked t @@ fun () ->
+    Mutex.protect t.lock @@ fun () ->
     fold_window t ~window_s
       (fun (count, chunks) b ->
         match Hashtbl.find_opt b.b_samples name with
@@ -176,7 +166,7 @@ let quantiles t ~window_s name =
 (* Every series name live anywhere in the window, sorted. *)
 let names t ~window_s =
   let collect tbl acc = Hashtbl.fold (fun name _ acc -> name :: acc) tbl acc in
-  locked t
+  Mutex.protect t.lock
     (fun () ->
       fold_window t ~window_s
         (fun acc b -> collect b.b_counts (collect b.b_samples acc))

@@ -46,10 +46,6 @@ let create ~max_bytes =
     evictions = 0;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 (* Entry cost: the payload plus the key stored twice (table + node)
    plus a fixed allowance for the node and table slot. *)
 let cost key v = String.length v.body + (2 * String.length key) + 64
@@ -72,7 +68,7 @@ let drop t n =
   t.bytes <- t.bytes - n.size
 
 let find t key =
-  locked t @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   match Hashtbl.find_opt t.table key with
   | Some n ->
       t.hits <- t.hits + 1;
@@ -86,7 +82,7 @@ let find t key =
 let add t key v =
   let size = cost key v in
   if size <= t.max_bytes then
-    locked t @@ fun () ->
+    Mutex.protect t.lock @@ fun () ->
     (match Hashtbl.find_opt t.table key with Some old -> drop t old | None -> ());
     let n = { key; v; size; prev = None; next = None } in
     Hashtbl.replace t.table key n;
@@ -101,7 +97,7 @@ let add t key v =
     done
 
 let stats t =
-  locked t @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   {
     hits = t.hits;
     misses = t.misses;

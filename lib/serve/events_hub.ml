@@ -37,30 +37,20 @@ type t = {
   mutable pump : unit Domain.t option;
 }
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
-
 let wake t =
   match Unix.write_substring t.wake_w "w" 0 1 with
   | _ -> ()
   | exception Unix.Unix_error _ -> () (* pipe full: pump is awake anyway *)
 
-let subscribers t = locked t (fun () -> List.length t.subs)
-let dropped t = locked t (fun () -> t.dropped)
+let subscribers t = Mutex.protect t.lock (fun () -> List.length t.subs)
+let dropped t = Mutex.protect t.lock (fun () -> t.dropped)
 
 (* Claim [fd] for the hub (the connection handler must not close it
    afterwards); [greeting] is the first payload — response head plus
    hello frame.  Refuses past [max_subs]. *)
 let subscribe t fd ~greeting =
   let accepted =
-    locked t @@ fun () ->
+    Mutex.protect t.lock @@ fun () ->
     if t.stopping || List.length t.subs >= t.max_subs then false
     else begin
       t.subs <- { fd; outbox = greeting } :: t.subs;
@@ -77,7 +67,7 @@ let subscribe t fd ~greeting =
    count it).  Returns how many subscribers dropped it. *)
 let publish t frame =
   let drops =
-    locked t @@ fun () ->
+    Mutex.protect t.lock @@ fun () ->
     List.fold_left
       (fun drops sub ->
         if String.length sub.outbox + String.length frame > t.max_outbox then begin
@@ -98,12 +88,12 @@ let publish t frame =
 let close_sub sub = try Unix.close sub.fd with Unix.Unix_error _ -> ()
 
 let flush_sub t sub =
-  let bytes = locked t (fun () -> sub.outbox) in
+  let bytes = Mutex.protect t.lock (fun () -> sub.outbox) in
   if bytes = "" then true
   else
     match Unix.write_substring sub.fd bytes 0 (String.length bytes) with
     | n ->
-        locked t (fun () ->
+        Mutex.protect t.lock (fun () ->
             (* Concurrent publishes only ever append, so dropping the
                written prefix is safe. *)
             sub.outbox <-
@@ -130,7 +120,7 @@ let pump_loop t =
   let junk = Bytes.create 64 in
   let next_beat = ref (Unix.gettimeofday () +. t.heartbeat_s) in
   let rec loop () =
-    let subs = locked t (fun () -> t.subs) in
+    let subs = Mutex.protect t.lock (fun () -> t.subs) in
     let want_write =
       List.filter_map
         (fun sub -> if sub.outbox = "" then None else Some sub.fd)
@@ -154,7 +144,7 @@ let pump_loop t =
         subs
     in
     if dead <> [] then begin
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           t.subs <- List.filter (fun s -> not (List.memq s dead)) t.subs);
       List.iter close_sub dead
     end;
@@ -163,7 +153,7 @@ let pump_loop t =
       next_beat := now +. t.heartbeat_s;
       ignore (publish t (t.heartbeat ()))
     end;
-    if not (locked t (fun () -> t.stopping)) then loop ()
+    if not (Mutex.protect t.lock (fun () -> t.stopping)) then loop ()
   in
   loop ()
 
@@ -192,7 +182,7 @@ let create ?(max_subs = 32) ?(max_outbox = 256 * 1024) ?(heartbeat_s = 2.0)
 
 let stop t =
   let had_pump =
-    locked t @@ fun () ->
+    Mutex.protect t.lock @@ fun () ->
     if t.stopping then None
     else begin
       t.stopping <- true;
@@ -206,7 +196,7 @@ let stop t =
   | Some pump ->
       wake t;
       (match pump with Some d -> Domain.join d | None -> ());
-      let subs = locked t (fun () -> let s = t.subs in t.subs <- []; s) in
+      let subs = Mutex.protect t.lock (fun () -> let s = t.subs in t.subs <- []; s) in
       List.iter close_sub subs;
       (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
       (try Unix.close t.wake_w with Unix.Unix_error _ -> ())

@@ -8,7 +8,7 @@
    fire-and-forget pool task that handles the whole keep-alive
    conversation.  The only cross-domain state is the cache (its own
    mutex), the in-flight counter (atomic), the root telemetry context
-   (merged into under [root_lock]) and the observability fan-out —
+   (each sink behind its own lock) and the observability fan-out —
    rolling window, trace store, access log and SSE hub, each behind its
    own lock, and the latter two doing their I/O on their own domains so
    the request path never waits on a disk or a slow stream consumer. *)
@@ -45,7 +45,6 @@ type t = {
   listener : Unix.file_descr;
   bound_port : int;
   root : Obs.Context.t;
-  root_lock : Mutex.t;
   cache : Cache.t;
   workers : Pool.t;
   inflight_count : int Atomic.t;
@@ -190,8 +189,8 @@ let hit_event =
     ev_args = [];
   }
 
-(* One compute request: private context, deadline, cache, merge-back,
-   optional span-tree retention. *)
+(* One compute request: forked context, deadline, cache, metrics
+   merge-back, optional span-tree retention. *)
 let compute t ~request_id ~trace_id endpoint (req : Http.request) =
   match Api.options_of_query req.Http.query with
   | Error msg ->
@@ -219,16 +218,18 @@ let compute t ~request_id ~trace_id endpoint (req : Http.request) =
                 ~cache:"hit" ~model:key ~trace_stored:retain v.Cache.status
                 v.Cache.content_type v.Cache.body
           | None ->
-              (* The private context: spans, counters and journal
-                 entries of this request land here and nowhere else.
-                 Only metrics and journal are merged back — absorbing
-                 every request's span tree into a daemon-lifetime
-                 buffer would grow without bound; retained trees go to
-                 the bounded {!Trace_store} instead. *)
-              let rctx = Obs.Context.create ~trace:true () in
+              (* A fork of the root: spans and counters of this request
+                 land in its own buffer and registry, journal entries go
+                 straight to the root journal.  Only the metrics are
+                 merged back — absorbing every request's span tree into
+                 a daemon-lifetime buffer would grow without bound;
+                 retained trees go to the bounded {!Trace_store}
+                 instead. *)
+              let rctx = Obs.Context.fork t.root in
               let deadline = Unix.gettimeofday () +. t.config.timeout_s in
               let outcome =
                 Obs.Context.with_current rctx (fun () ->
+                    Obs.Trace.enable ();
                     Obs.Journal.record
                       ~fields:
                         [
@@ -245,12 +246,8 @@ let compute t ~request_id ~trace_id endpoint (req : Http.request) =
               if retain then
                 Trace_store.add t.traces ~id:(string_of_int request_id)
                   (chrome_trace ~request_id ~endpoint:ep ~trace_id events);
-              Mutex.lock t.root_lock;
               Obs.Metrics.merge ~into:t.root.Obs.Context.metrics
                 rctx.Obs.Context.metrics;
-              Obs.Journal.merge ~into:t.root.Obs.Context.journal
-                rctx.Obs.Context.journal;
-              Mutex.unlock t.root_lock;
               let headers =
                 [ ("X-Cache", "miss"); ("X-Request-Spans", string_of_int spans) ]
               in
@@ -317,9 +314,7 @@ let metrics_body t =
   Obs.Openmetrics.render (Obs.Metrics.snapshot ~registry:r ())
 
 let journal_body t =
-  Mutex.lock t.root_lock;
   let entries = Obs.Journal.entries_in t.root.Obs.Context.journal in
-  Mutex.unlock t.root_lock;
   Json.to_string (Json.List (List.map Obs.Journal.entry_json entries)) ^ "\n"
 
 let healthz_body t =
@@ -640,7 +635,6 @@ let start ?(config = default_config) () =
       listener;
       bound_port;
       root = Obs.Context.create ~trace:false ();
-      root_lock = Mutex.create ();
       cache = Cache.create ~max_bytes:(config.cache_mb * 1024 * 1024);
       (* +1: the owner (acceptor) never helps drain, so [pool] real
          worker domains require a pool of size [pool + 1]. *)

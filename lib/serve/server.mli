@@ -19,7 +19,7 @@
     - [GET /metrics] — OpenMetrics exposition of the server's root
       telemetry context, cache gauges and rolling per-endpoint
       req/s + latency quantiles as labeled series;
-    - [GET /journal] — the merged run journal as a JSON list;
+    - [GET /journal] — the root run journal as a JSON list;
     - [GET /api/windows] — the rolling {!Umlfront_obs.Window} snapshot
       (10 s / 1 m / 5 m) as JSON;
     - [GET /api/trace/ID] — the retained Chrome-trace span tree of
@@ -37,15 +37,17 @@
     domain that never blocks the request path (full queue = dropped
     line + [umlfront_access_log_dropped_total]).
 
-    Each compute request runs in its own forked {!Umlfront_obs.Context}
-    (so concurrent requests observe fully disjoint telemetry) whose
-    metrics and journal are merged back into the server's root context
-    afterwards; span buffers are deliberately {e not} absorbed — a
+    Each cache miss runs on a {!Umlfront_obs.Context.fork} of the
+    server's root context: its own span buffer and metrics registry
+    (so concurrent requests never see each other's spans or counters),
+    the root's journal and token sink.  Its journal entries land in the
+    root journal as they happen; only its metrics are merged back
+    afterwards.  Span buffers are deliberately {e not} absorbed — a
     daemon must not accumulate one span tree per request forever.  The
     response advertises the isolation: [X-Request-Id] numbers the
-    request, [X-Request-Spans] counts the trace events its private
-    context recorded (a bled-into context would show inflated counts),
-    and [X-Cache: hit|miss] reports the content-hash cache. *)
+    request, [X-Request-Spans] counts the trace events its fork
+    recorded (a bled-into buffer would show inflated counts), and
+    [X-Cache: hit|miss] reports the content-hash cache. *)
 
 type config = {
   port : int;  (** 0 picks an ephemeral port (see {!port}) *)
@@ -79,9 +81,9 @@ val stop : t -> unit
     Idempotent.  In-flight requests finish; no new ones are accepted. *)
 
 val root : t -> Umlfront_obs.Context.t
-(** The server's root telemetry context — every request's metrics and
-    journal entries end up here (what [/metrics] and [/journal]
-    serve). *)
+(** The server's root telemetry context — every request's journal
+    entries land here and its metrics are merged in (what [/metrics]
+    and [/journal] serve). *)
 
 val cache_stats : t -> Cache.stats
 val inflight : t -> int

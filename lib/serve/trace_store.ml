@@ -23,18 +23,8 @@ let create ?(capacity = 128) () =
     lock = Mutex.create ();
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
-
 let add t ~id payload =
-  locked t @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   if not (Hashtbl.mem t.table id) then begin
     while Queue.length t.order >= t.capacity do
       let victim = Queue.pop t.order in
@@ -45,9 +35,9 @@ let add t ~id payload =
     Queue.add id t.order
   end
 
-let find t id = locked t @@ fun () -> Hashtbl.find_opt t.table id
+let find t id = Mutex.protect t.lock @@ fun () -> Hashtbl.find_opt t.table id
 
-let ids t = locked t @@ fun () -> List.of_seq (Queue.to_seq t.order)
+let ids t = Mutex.protect t.lock @@ fun () -> List.of_seq (Queue.to_seq t.order)
 
-let size t = locked t @@ fun () -> Queue.length t.order
-let evicted t = locked t @@ fun () -> t.evicted
+let size t = Mutex.protect t.lock @@ fun () -> Queue.length t.order
+let evicted t = Mutex.protect t.lock @@ fun () -> t.evicted

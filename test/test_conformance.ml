@@ -165,8 +165,9 @@ let engine_tests =
            throwaway pool inside check would leave it in [ctx]. *)
         let ctx = Obs.Context.create () in
         let report =
-          Conform.check ~ctx ~backends:[ Conform.Compiled_exec ] ~rounds:4
-            (crane_caam ())
+          Obs.Context.with_current ctx (fun () ->
+              Conform.check ~backends:[ Conform.Compiled_exec ] ~rounds:4
+                (crane_caam ()))
         in
         check Alcotest.bool "compiled agrees" true (Conform.agree report);
         let names =

@@ -177,7 +177,9 @@ let pool_folds_workers_back () =
   let sdf = Dataflow.Sdf.of_model output.Core.Flow.caam in
   (* 8 rounds in batches of 4: two work-stealing phases, each one
      parallel_for of one task per domain. *)
-  ignore (Dataflow.Compiled.run ~pool ~ctx ~batch:4 ~rounds:8 sdf);
+  ignore
+    (Obs.Context.with_current ctx (fun () ->
+         Dataflow.Compiled.run ~pool ~batch:4 ~rounds:8 sdf));
   let stats = snapshot_in ctx in
   (* per-domain worker counters merged back equal the task total *)
   check Alcotest.int "pool.tasks counts one task per domain per batch"
@@ -187,6 +189,29 @@ let pool_folds_workers_back () =
   (* and none of it leaked into the global default context *)
   check Alcotest.int "no tasks leaked to the default registry" global_before
     (domain_tasks (snapshot_in Obs.Context.default))
+
+(* --- a fresh armed context is cheap ----------------------------------- *)
+
+(* The token sink allocates its 65,536-slot ring on the first token, so
+   creating a fully armed context costs tens of kB, not half a
+   megabyte; once fed, the sink records, exports and resets as before. *)
+let armed_context_is_cheap () =
+  let before = Gc.allocated_bytes () in
+  let ctx = Obs.Context.create ~trace:true ~telemetry:true () in
+  let bytes = Gc.allocated_bytes () -. before in
+  checkb (Printf.sprintf "create allocated %.0f B, under 64 KiB" bytes) (bytes < 65536.);
+  Obs.Context.with_current ctx @@ fun () ->
+  let module T = Obs.Telemetry in
+  let ch = "A/1->B/1" in
+  ignore (T.produce ~round:0 ~src:"A" ~firing:1 ch);
+  ignore (T.consume ~by:"B" ch);
+  check Alcotest.int "token recorded" 1 (List.length (T.tokens ()));
+  check Alcotest.int "exported as a start/finish pair" 2 (List.length (T.flow_events ()));
+  T.reset ();
+  check Alcotest.int "reset drops the tokens" 0 (List.length (T.tokens ()));
+  check Alcotest.int "reset drops the channels" 0 (List.length (T.channels ()));
+  ignore (T.produce ~round:1 ~src:"A" ~firing:2 ch);
+  check Alcotest.int "records again after reset" 1 (List.length (T.tokens ()))
 
 let suite =
   [
@@ -198,5 +223,7 @@ let suite =
           span_tree_roots_cover_phases;
         Alcotest.test_case "pool merges per-domain children into the context" `Quick
           pool_folds_workers_back;
+        Alcotest.test_case "an armed context allocates its token ring lazily" `Quick
+          armed_context_is_cheap;
       ] );
   ]

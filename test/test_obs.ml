@@ -503,6 +503,25 @@ let journal_ring_wraps_and_counts_drops () =
         (List.nth es 3).Obs.Journal.j_kind;
       check Alcotest.int "dropped entries counted" 2 (Obs.Journal.dropped ()))
 
+(* Every journal stamps against one process-wide origin, so entries of
+   sinks created at different times compare and a merge into a full
+   ring drops the oldest, not whichever sink was created last. *)
+let journal_merge_keeps_newest () =
+  let ring = Obs.Journal.create ~capacity:8 () in
+  Unix.sleepf 0.02;
+  for i = 1 to 8 do
+    Obs.Journal.record_in ring (Printf.sprintf "old.%d" i)
+  done;
+  let fresh = Obs.Journal.create () in
+  Unix.sleepf 0.001;
+  Obs.Journal.record_in fresh "new.1";
+  Obs.Journal.record_in fresh "new.2";
+  Obs.Journal.merge ~into:ring fresh;
+  let kinds = List.map (fun e -> e.Obs.Journal.j_kind) (Obs.Journal.entries_in ring) in
+  check Alcotest.int "ring stays at capacity" 8 (List.length kinds);
+  check Alcotest.(list string) "both new entries kept" [ "new.1"; "new.2" ]
+    (List.filter (String.starts_with ~prefix:"new.") kinds)
+
 (* --- bench regression gate ------------------------------------------- *)
 
 let obs_bench_doc blocks =
@@ -727,6 +746,7 @@ let suite =
         window_sum_matches_model;
         test "journal records and filters" journal_records_and_filters;
         test "journal ring wraps" journal_ring_wraps_and_counts_drops;
+        test "journal merge keeps the newest entries" journal_merge_keeps_newest;
         test "bench-diff flags regressions" bench_diff_flags_regressions;
         test "bench-diff parallel schema" bench_diff_parallel_schema;
         test "bench-diff skips under-provisioned sweeps"

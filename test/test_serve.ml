@@ -419,6 +419,29 @@ let e2e_tests =
         let j = get s "/journal" in
         check Alcotest.int "journal 200" 200 j.Client.status;
         checkb "journal is JSON" (Result.is_ok (Json.parse j.Client.body)));
+    test "a miss journals into a full root journal" (fun () ->
+        with_server @@ fun s ->
+        (* Let the daemon age, then fill its journal: the request's
+           entries must displace the oldest filler, whatever the age. *)
+        Unix.sleepf 0.05;
+        let journal = (Server.root s).Obs.Context.journal in
+        for _ = 1 to Obs.Journal.default_capacity do
+          Obs.Journal.record_in journal "test.filler"
+        done;
+        let r = post s "/api/lint" (Lazy.force didactic_xmi) in
+        check Alcotest.(option string) "a miss" (Some "miss") (Client.header r "x-cache");
+        let id = int_of_string (Option.get (Client.request_id r)) in
+        let entries = Json.items (Json.parse_exn (get s "/journal").Client.body) in
+        let has kind pred =
+          List.exists
+            (fun e -> Json.member "kind" e = Some (Json.String kind) && pred e)
+            entries
+        in
+        checkb "serve.request entry of this request"
+          (has "serve.request" (fun e ->
+               Option.bind (Json.member "fields" e) (Json.member "request")
+               = Some (Json.Int id)));
+        checkb "flow.run entry" (has "flow.run" (fun _ -> true)));
     test "every compute endpoint answers 200 with the promised members" (fun () ->
         with_server @@ fun s ->
         let xmi = Lazy.force didactic_xmi in
