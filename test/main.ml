@@ -6,4 +6,4 @@ let () =
    @ Test_integration.suite @ Test_obs.suite @ Test_telemetry.suite
    @ Test_trace_export.suite
    @ Test_parallel.suite @ Test_compiled.suite @ Test_context.suite @ Test_analysis.suite
-   @ Test_conformance.suite @ Test_serve.suite)
+   @ Test_conformance.suite @ Test_serve.suite @ Test_cli.suite)

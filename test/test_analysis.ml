@@ -228,18 +228,29 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
    test/golden/, so an accepted format change is a `dune promote`, not
    a hand edit.  What stays here: the generator must know exactly the
    files dune pins (no orphaned goldens), and a stale golden must
-   actually differ from fresh output so the diff has teeth. *)
+   actually differ from fresh output so the diff has teeth.  The
+   [cli.*] goldens are the CLI's own stdout: test/dune writes each
+   through bin/umlfront.exe as [cli.*.gen] next to this test. *)
 let golden_tests =
   [
     test "every committed golden file has a generator (and vice versa)" (fun () ->
         let committed =
           Sys.readdir "golden" |> Array.to_list |> List.sort String.compare
         in
+        let cli, generated =
+          List.partition (String.starts_with ~prefix:"cli.") committed
+        in
         check
           Alcotest.(list string)
           "golden_gen covers golden/"
           (List.sort String.compare Lint_mutants.golden_names)
-          committed);
+          generated;
+        check Alcotest.bool "CLI goldens exist" true (cli <> []);
+        List.iter
+          (fun name ->
+            check Alcotest.bool (name ^ " has a CLI rule") true
+              (Sys.file_exists (name ^ ".gen")))
+          cli);
     test "golden reports are deterministic" (fun () ->
         List.iter
           (fun name ->
