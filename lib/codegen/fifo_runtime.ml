@@ -76,12 +76,3 @@ int fifo_size(fifo_t *f) {
   return n;
 }
 |}
-
-let save ~dir =
-  let write name content =
-    let oc = open_out (Filename.concat dir name) in
-    output_string oc content;
-    close_out oc
-  in
-  write "fifo.h" header;
-  write "fifo.c" source

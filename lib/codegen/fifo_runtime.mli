@@ -9,5 +9,3 @@ val header : string
 
 val source : string
 (** Contents of [fifo.c]. *)
-
-val save : dir:string -> unit

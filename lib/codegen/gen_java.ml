@@ -282,9 +282,3 @@ let generate ?(rounds = 10) ?(class_name = "GeneratedModel") (m : Model.t) =
       M2t.line t "}");
   M2t.line t "}";
   M2t.contents t
-
-let save ?rounds ?(class_name = "GeneratedModel") m ~dir =
-  let content = generate ?rounds ~class_name m in
-  let oc = open_out (Filename.concat dir (class_name ^ ".java")) in
-  output_string oc content;
-  close_out oc

@@ -5,6 +5,3 @@
 
 val generate : ?rounds:int -> ?class_name:string -> Umlfront_simulink.Model.t -> string
 (** One self-contained Java source file. *)
-
-val save :
-  ?rounds:int -> ?class_name:string -> Umlfront_simulink.Model.t -> dir:string -> unit

@@ -49,8 +49,3 @@ let generate ?(rounds = 10) (m : Model.t) =
         (String.concat "; " (List.map (Printf.sprintf "%S") sdf.Sdf.graph_outputs));
       M2t.line t "     outcome.Kpn.results)");
   M2t.contents t
-
-let save ?rounds m ~dir =
-  let oc = open_out (Filename.concat dir "model_kpn.ml") in
-  output_string oc (generate ?rounds m);
-  close_out oc

@@ -11,5 +11,3 @@
     executor. *)
 
 val generate : ?rounds:int -> Umlfront_simulink.Model.t -> string
-val save : ?rounds:int -> Umlfront_simulink.Model.t -> dir:string -> unit
-(** Writes [model_kpn.ml] into [dir]. *)

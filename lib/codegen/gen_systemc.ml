@@ -365,8 +365,3 @@ let generate ?(rounds = 10) (m : Model.t) =
       M2t.line t "return 0;");
   M2t.line t "}";
   M2t.contents t
-
-let save ?rounds m ~dir =
-  let oc = open_out (Filename.concat dir "model_sc.cpp") in
-  output_string oc (generate ?rounds m);
-  close_out oc

@@ -10,6 +10,3 @@
 
 val generate : ?rounds:int -> Umlfront_simulink.Model.t -> string
 (** One [main.cpp]-style translation unit. *)
-
-val save : ?rounds:int -> Umlfront_simulink.Model.t -> dir:string -> unit
-(** Writes [model_sc.cpp] into [dir]. *)

@@ -31,6 +31,16 @@ let backend_of_string = function
         (Printf.sprintf
            "unknown backend %S (expected seq, compiled, kpn, c or kpn-src)" other)
 
+let backends_of_string csv =
+  let rec parse acc = function
+    | [] -> Ok (List.rev acc)
+    | name :: rest -> (
+        match backend_of_string (String.trim name) with
+        | Ok b -> parse (b :: acc) rest
+        | Error e -> Error e)
+  in
+  parse [] (String.split_on_char ',' csv)
+
 (* Which executor produces the reference traces every backend is
    diffed against.  [`Seq] is [Exec.run]; [`Compiled] is the compiled
    flat interpreter run sequentially — selecting it turns every

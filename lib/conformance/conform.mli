@@ -34,6 +34,11 @@ val backend_of_string : string -> (backend, string) result
 (** Accepts [seq], [compiled], [kpn], [c] and [kpn-src]; the error
     for anything else names them. *)
 
+val backends_of_string : string -> (backend list, string) result
+(** A comma-separated list of {!backend_of_string} names, in order
+    (blanks around a name are ignored) — the one parser of
+    [--backends] and [backends=]. *)
+
 type engine = [ `Seq | `Compiled ]
 (** Which executor produces the reference traces: [`Seq] is
     {!Umlfront_dataflow.Exec.run}, [`Compiled] the compiled flat

@@ -12,6 +12,12 @@ val task_graph : Umlfront_uml.Model.t -> Umlfront_taskgraph.Graph.t
     caller, weighted by {!Umlfront_uml.Sequence.transferred_bytes};
     repeated communication accumulates. *)
 
+val acyclic_view : Umlfront_taskgraph.Graph.t -> Umlfront_taskgraph.Graph.t
+(** The graph without its {!Umlfront_taskgraph.Algo.all_back_edges}:
+    every node with its weight, every other edge.  An acyclic graph
+    comes back as is.  Linear clustering needs a DAG; the dropped
+    feedback edges still carry data, the heuristic just ignores them. *)
+
 type strategy =
   | Linear  (** one CPU per linear cluster *)
   | Bounded of int  (** linear clustering folded to at most N CPUs *)

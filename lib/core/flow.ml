@@ -15,6 +15,19 @@ let strategy_name = function
   | Infer_linear -> "linear"
   | Infer_bounded n -> Printf.sprintf "bounded-%d" n
 
+let strategy_of_string = function
+  | "deployment" -> Ok Use_deployment
+  | "prefer-deployment" -> Ok Prefer_deployment
+  | "linear" -> Ok Infer_linear
+  | other ->
+      Error
+        (Printf.sprintf
+           "unknown strategy %S (expected deployment, prefer-deployment or linear)"
+           other)
+
+let with_cpus cpus strategy =
+  match cpus with Some n -> Infer_bounded n | None -> strategy
+
 (* The pure cache identity of a flow run: the canonical XMI bytes of
    the (parsed, re-serialized) model plus every input that steers the
    phases.  Two texts that parse to the same model — different

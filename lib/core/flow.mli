@@ -17,6 +17,15 @@ val strategy_name : allocation_strategy -> string
     ["bounded-N"] — the CLI's [--strategy] vocabulary (plus the [--cpus]
     bound), reused by the serving layer's query parameters. *)
 
+val strategy_of_string : string -> (allocation_strategy, string) result
+(** The one parser of [--strategy] and [strategy=]: accepts
+    ["deployment"], ["prefer-deployment"] and ["linear"]; the error
+    for anything else names them. *)
+
+val with_cpus : int option -> allocation_strategy -> allocation_strategy
+(** [with_cpus (Some n) s] is [Infer_bounded n] whatever [s]: a CPU
+    bound ([--cpus], [cpus=]) wins over the named strategy. *)
+
 val cache_material :
   ?style:Mapping.style ->
   ?strategy:allocation_strategy ->

@@ -1,6 +1,5 @@
 module U = Umlfront_uml
 module G = Umlfront_taskgraph.Graph
-module Algo = Umlfront_taskgraph.Algo
 module Clustering = Umlfront_taskgraph.Clustering
 module Lc = Umlfront_taskgraph.Linear_clustering
 
@@ -84,20 +83,12 @@ let call_graph uml =
     calls;
   g
 
-let acyclic_view g =
-  if Algo.is_acyclic g then g
-  else
-    let back = Algo.all_back_edges g in
-    G.of_lists
-      ~nodes:(List.map (fun id -> (id, G.node_weight g id)) (G.nodes g))
-      ~edges:(List.filter (fun (s, d, _) -> not (List.mem (s, d) back)) (G.edges g))
-
 let run ?threads uml =
   let original = single_thread uml in
   let calls = calls_of uml original in
   let functional = List.filter (fun c -> c.call_kind = `Functional) calls in
   if functional = [] then invalid_arg "partitioning: model has no functional calls";
-  let g = acyclic_view (call_graph uml) in
+  let g = Allocation.acyclic_view (call_graph uml) in
   let clustering =
     match threads with
     | Some n -> Lc.run_bounded ~max_clusters:n g

@@ -84,6 +84,25 @@ let algo_tests =
     test "is_acyclic" (fun () ->
         check Alcotest.bool "diamond" true (Algo.is_acyclic (diamond ()));
         check Alcotest.bool "cyclic" false (Algo.is_acyclic (cyclic ())));
+    test "acyclic_view drops exactly the back edges" (fun () ->
+        let g = cyclic () in
+        let back = Algo.all_back_edges g in
+        let v = Umlfront_core.Allocation.acyclic_view g in
+        let weighted g = List.map (fun n -> (n, G.node_weight g n)) (G.nodes g) in
+        let edge = Alcotest.(triple string string (float 0.)) in
+        check Alcotest.bool "a back edge to drop" true (back <> []);
+        check Alcotest.bool "acyclic" true (Algo.is_acyclic v);
+        check Alcotest.(list (pair string (float 0.))) "nodes and weights" (weighted g)
+          (weighted v);
+        check (Alcotest.list edge) "every other edge"
+          (List.filter (fun (s, d, _) -> not (List.mem (s, d) back)) (G.edges g))
+          (G.edges v));
+    test "acyclic_view keeps an acyclic graph" (fun () ->
+        let g = diamond () in
+        let v = Umlfront_core.Allocation.acyclic_view g in
+        check Alcotest.(list string) "nodes" (G.nodes g) (G.nodes v);
+        check Alcotest.(list (triple string string (float 0.))) "edges" (G.edges g)
+          (G.edges v));
     test "sources and sinks" (fun () ->
         let g = diamond () in
         check Alcotest.(list string) "sources" [ "a" ] (Algo.sources g);
