@@ -264,6 +264,14 @@ let api_tests =
           (Result.is_error (Api.options_of_query [ ("rounds", "1000000") ]));
         checkb "unknown key rejected"
           (Result.is_error (Api.options_of_query [ ("typo", "1") ])));
+    test "a passed deadline stops every endpoint after the flow" (fun () ->
+        let uml = CS.Didactic.model () in
+        List.iter
+          (fun e ->
+            match Api.run ~deadline:0. e Api.default_options uml with
+            | exception Api.Timeout -> ()
+            | _ -> Alcotest.failf "%s ran past its deadline" (Api.endpoint_name e))
+          Api.all_endpoints);
     test "endpoint_of_path covers exactly the published routes" (fun () ->
         checkb "lint" (Api.endpoint_of_path "/api/lint" = Some Api.Lint);
         checkb "generate/c" (Api.endpoint_of_path "/api/generate/c" = Some (Api.Generate `C));
