@@ -256,6 +256,27 @@ let openmetrics_golden ~labels () =
   end;
   Obs.Openmetrics.render (Obs.Metrics.snapshot ~registry ())
 
+(* The multithreaded code generated for the two reference models at 5
+   rounds: C ([model.c] and the S-Function files), Java and SystemC.
+   Pinned so that any change to what the generators emit is a diff. *)
+let codegen_goldens =
+  let module Codegen = Umlfront_codegen in
+  List.concat_map
+    (fun (label, model) ->
+      let caam () = (Core.Flow.run (model ())).Core.Flow.caam in
+      let c file () =
+        List.assoc file (Codegen.Gen_threads.generate ~rounds:5 (caam ())).Codegen.Gen_threads.files
+      in
+      let name file = Printf.sprintf "codegen.%s.%s" label file in
+      [
+        (name "model.c", c "model.c");
+        (name "sfunctions.h", c "sfunctions.h");
+        (name "sfunctions.c", c "sfunctions.c");
+        (name "GeneratedModel.java", fun () -> Codegen.Gen_java.generate ~rounds:5 (caam ()));
+        (name "model_sc.cpp", fun () -> Codegen.Gen_systemc.generate ~rounds:5 (caam ()));
+      ])
+    [ ("crane", CS.Crane_system.model); ("synthetic", CS.Synthetic_system.model) ]
+
 (* The renderable golden files, keyed by file name under test/golden/;
    golden_gen.exe prints one of these, the dune diff rules pin each
    byte-for-byte. *)
@@ -287,6 +308,7 @@ let goldens =
     ("openmetrics.unlabeled.txt", fun () -> openmetrics_golden ~labels:false ());
     ("openmetrics.labeled.txt", fun () -> openmetrics_golden ~labels:true ());
   ]
+  @ codegen_goldens
 
 let golden_names = List.map fst goldens
 
