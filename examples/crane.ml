@@ -36,7 +36,7 @@ let () =
       print_newline ())
     outcome.Dataflow.Exec.traces;
   print_endline "=== Generated multithreaded C (file inventory) ===";
-  let generated = Core.Flow.c_code ~rounds:12 output in
+  let generated = Umlfront_codegen.Gen_threads.generate ~rounds:12 output.Core.Flow.caam in
   List.iter
     (fun (name, content) ->
       Printf.printf "  %-14s %4d lines\n" name

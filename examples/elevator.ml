@@ -72,7 +72,7 @@ let () =
   let ecore_lines =
     List.length (String.split_on_char '\n' (Core.Flow.ecore_xml out))
   in
-  let c_files = (Core.Flow.c_code out).Codegen.Gen_threads.files in
+  let c_files = (Codegen.Gen_threads.generate out.Core.Flow.caam).Codegen.Gen_threads.files in
   let sc = Codegen.Gen_systemc.generate out.Core.Flow.caam in
   Printf.printf "  model.mdl        %4d lines\n" mdl_lines;
   Printf.printf "  model.ecore.xml  %4d lines\n" ecore_lines;

@@ -1,273 +1,89 @@
 module S = Umlfront_simulink.System
-module B = Umlfront_simulink.Block
 module Model = Umlfront_simulink.Model
 module Sdf = Umlfront_dataflow.Sdf
 module Exec = Umlfront_dataflow.Exec
 module M2t = Umlfront_transform.M2t
+module E = Thread_emitter
 
 type generated = { files : (string * string) list }
 
-let sanitize s =
-  let mapped =
-    String.map
-      (fun c ->
-        if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-        then c
-        else '_')
-      s
-  in
-  if mapped = "" || (mapped.[0] >= '0' && mapped.[0] <= '9') then "x" ^ mapped
-  else mapped
+let sanitize = E.sanitize
 
-(* [sanitize] is lossy ("a.b" and "a_b" both map to "a_b"), so every
-   generation scopes its identifiers through a memoized namer: the
-   first name to claim an identifier keeps it, later claimants get a
-   [_2], [_3], … suffix.  Deterministic, because emission order is. *)
-let make_namer () =
-  let assigned = Hashtbl.create 16 and taken = Hashtbl.create 16 in
-  fun raw ->
-    match Hashtbl.find_opt assigned raw with
-    | Some ident -> ident
-    | None ->
-        let base = sanitize raw in
-        let ident =
-          if not (Hashtbl.mem taken base) then base
-          else
-            let rec next i =
-              let candidate = Printf.sprintf "%s_%d" base i in
-              if Hashtbl.mem taken candidate then next (i + 1) else candidate
-            in
-            next 2
-        in
-        Hashtbl.replace taken ident ();
-        Hashtbl.replace assigned raw ident;
-        ident
+let dialect =
+  {
+    E.pop = Printf.sprintf "fifo_pop(&%s)";
+    push = Printf.sprintf "fifo_push(&%s, %s);";
+    math = Fun.id;
+    operand = Fun.id;
+    min_max = None;
+    discard = (fun _ x -> Printf.sprintf "(void)(%s);" x);
+    sfunction =
+      (fun t p a inputs ->
+        let id = E.input_array t p a inputs in
+        M2t.line t "double out_%s[%d];" id (max a.Sdf.actor_outputs 1);
+        M2t.line t "sfun_%s(in_%s, %d, out_%s, %d);"
+          (p.E.sfn (E.sfunction_name a.Sdf.actor_block))
+          id a.Sdf.actor_inputs id a.Sdf.actor_outputs;
+        for port = 1 to a.Sdf.actor_outputs do
+          M2t.line t "double %s = out_%s[%d];" (E.out_var p a port) id (port - 1)
+        done);
+    print = Printf.sprintf "printf(\"%s %%d %%.9f\\n\", round, %s);";
+  }
 
-(* Thread grouping: functional actors live under cpu/thread; top-level
-   ports belong to the environment (handled by main). *)
-type owner = Env | Worker of string * string  (* cpu, thread *)
-
-let owner_of (a : Sdf.actor) =
-  match a.Sdf.actor_path with
-  | [] -> Env
-  | [ cpu ] -> Worker (cpu, "main")
-  | cpu :: thread :: _ -> Worker (cpu, thread)
-
-type fifo = { fifo_var : string; fifo_protocol : string; fifo_edge : Sdf.edge }
-
-let is_delay (a : Sdf.actor) = a.Sdf.actor_block.S.blk_type = B.Unit_delay
-
-let param_float (blk : S.block) key fallback =
-  match List.assoc_opt key blk.S.blk_params with
-  | Some (B.P_float f) -> f
-  | Some (B.P_int i) -> float_of_int i
-  | Some _ | None -> fallback
-
-let sfunction_name (blk : S.block) =
-  Option.value (S.param_string blk "FunctionName") ~default:blk.S.blk_name
-
-(* Constants of the default pseudo-behaviour, kept in lockstep with
-   Exec.default_sfunction so C and OCaml traces match. *)
-let default_constants name =
-  let h = Hashtbl.hash name in
-  let a = 0.25 +. (float_of_int (h mod 7) /. 8.0) in
-  let b = float_of_int (h mod 13) /. 13.0 in
-  (a, b)
-
-let collect_sfunctions sdf =
-  sdf.Sdf.actors
-  |> List.filter_map (fun (a : Sdf.actor) ->
-         if a.Sdf.actor_block.S.blk_type = B.S_function then
-           Some (sfunction_name a.Sdf.actor_block, a.Sdf.actor_outputs)
-         else None)
-  |> List.sort_uniq compare
-
-let build_fifos sdf =
-  let counter = ref 0 in
-  sdf.Sdf.edges
-  |> List.filter_map (fun (e : Sdf.edge) ->
-         let src = Option.get (Sdf.find_actor sdf e.Sdf.edge_src) in
-         let dst = Option.get (Sdf.find_actor sdf e.Sdf.edge_dst) in
-         if owner_of src = owner_of dst then None
-         else (
-           incr counter;
-           let protocol =
-             let ps = List.map snd e.Sdf.edge_channels in
-             if List.mem "GFIFO" ps then "GFIFO"
-             else if List.mem "SWFIFO" ps then "SWFIFO"
-             else "SWFIFO"
-           in
-           Some { fifo_var = Printf.sprintf "f%d" !counter; fifo_protocol = protocol; fifo_edge = e }))
-
-let fifo_for fifos (e : Sdf.edge) =
-  List.find_opt (fun f -> f.fifo_edge = e) fifos
-
-let out_var ident a port = Printf.sprintf "v_%s_%d" (ident a.Sdf.actor_name) port
-let state_var ident a = Printf.sprintf "state_%s" (ident a.Sdf.actor_name)
-let snapshot_var ident a = Printf.sprintf "snap_%s" (ident a.Sdf.actor_name)
-
-let sfunctions_header sfn sfuncs =
+let sfunctions_header (p : E.program) =
   let t = M2t.create () in
   M2t.line t "#ifndef UMLFRONT_SFUNCTIONS_H";
   M2t.line t "#define UMLFRONT_SFUNCTIONS_H";
   M2t.blank t;
   List.iter
-    (fun (name, _) ->
+    (fun name ->
       M2t.line t "void sfun_%s(const double *in, int n_in, double *out, int n_out);"
-        (sfn name))
-    sfuncs;
+        (p.E.sfn name))
+    (E.sfunctions p);
   M2t.blank t;
   M2t.line t "#endif";
   M2t.contents t
 
-let sfunctions_source sfn sfuncs =
+let sfunctions_source (p : E.program) =
   let t = M2t.create () in
   M2t.line t "#include \"sfunctions.h\"";
   M2t.blank t;
   M2t.line t "/* Default affine behaviours; replace with the real algorithm";
   M2t.line t "   implementations.  Constants mirror the reference simulator. */";
   List.iter
-    (fun (name, _) ->
-      let a, b = default_constants name in
+    (fun name ->
+      let a, b = Exec.sfunction_constants name in
       M2t.blank t;
       M2t.line t "void sfun_%s(const double *in, int n_in, double *out, int n_out) {"
-        (sfn name);
+        (p.E.sfn name);
       M2t.indented t (fun () ->
           M2t.line t "double total = 0.0;";
           M2t.line t "for (int i = 0; i < n_in; ++i) total += in[i];";
           M2t.line t "for (int j = 0; j < n_out; ++j)";
           M2t.line t "  out[j] = %.17g * total + %.17g + 0.1 * j;" a b);
       M2t.line t "}")
-    sfuncs;
+    (E.sfunctions p);
   M2t.contents t
 
-(* Input expression of one actor input port inside its thread body. *)
-let input_expr ident sdf fifos popped (a : Sdf.actor) port =
-  let feeding =
-    Sdf.preds sdf a.Sdf.actor_name
-    |> List.find_opt (fun (e : Sdf.edge) -> e.Sdf.edge_dst_port = port)
+(* The Depth parameter of the outermost channel the edge crosses. *)
+let depth (m : Model.t) (e : Sdf.edge) =
+  let rec find_block sys name =
+    match S.find_block sys name with
+    | Some b -> Some b
+    | None ->
+        List.find_map
+          (fun (blk : S.block) -> Option.bind blk.S.blk_system (fun sub -> find_block sub name))
+          (S.blocks sys)
   in
-  match feeding with
-  | None -> "0.0"
-  | Some e -> (
-      match fifo_for fifos e with
-      | Some f -> (
-          match List.assoc_opt f.fifo_var popped with
-          | Some tmp -> tmp
-          | None -> Printf.sprintf "fifo_pop(&%s)" f.fifo_var)
-      | None ->
-          let src = Option.get (Sdf.find_actor sdf e.Sdf.edge_src) in
-          if is_delay src then snapshot_var ident src
-          else out_var ident src e.Sdf.edge_src_port)
+  e.Sdf.edge_channels
+  |> List.find_map (fun (name, _) ->
+         Option.bind (find_block m.Model.root name) (fun b -> S.param_int b "Depth"))
+  |> Option.value ~default:64
 
-let emit_actor t ident sfn sdf fifos (a : Sdf.actor) =
-  let blk = a.Sdf.actor_block in
-  (* Pop every cross-thread input exactly once, in edge order. *)
-  let popped =
-    Sdf.preds sdf a.Sdf.actor_name
-    |> List.filter_map (fun (e : Sdf.edge) ->
-           match fifo_for fifos e with
-           | Some f ->
-               let tmp = Printf.sprintf "p_%s_%d" (ident a.Sdf.actor_name) e.Sdf.edge_dst_port in
-               M2t.line t "double %s = fifo_pop(&%s);" tmp f.fifo_var;
-               Some (f.fifo_var, tmp)
-           | None -> None)
-  in
-  let input port = input_expr ident sdf fifos popped a port in
-  let simple_out expr = M2t.line t "double %s = %s;" (out_var ident a 1) expr in
-  (match blk.S.blk_type with
-  | B.Constant -> simple_out (Printf.sprintf "%.17g" (param_float blk "Value" 0.0))
-  | B.Ground -> simple_out "0.0"
-  | B.Gain -> simple_out (Printf.sprintf "%.17g * %s" (param_float blk "Gain" 1.0) (input 1))
-  | B.Product ->
-      if a.Sdf.actor_inputs = 0 then simple_out "1.0"
-      else
-        simple_out
-          (String.concat " * " (List.init a.Sdf.actor_inputs (fun i -> input (i + 1))))
-  | B.Sum ->
-      let signs =
-        match S.param_string blk "Inputs" with
-        | Some s when String.length s = a.Sdf.actor_inputs ->
-            List.init a.Sdf.actor_inputs (fun i -> s.[i])
-        | Some _ | None -> List.init a.Sdf.actor_inputs (fun _ -> '+')
-      in
-      let terms =
-        List.mapi
-          (fun i sign -> Printf.sprintf "%c (%s)" (if sign = '-' then '-' else '+') (input (i + 1)))
-          signs
-      in
-      simple_out (if terms = [] then "0.0" else "0.0 " ^ String.concat " " terms)
-  | B.Saturation ->
-      let hi = param_float blk "UpperLimit" 1.0 in
-      let lo = param_float blk "LowerLimit" (-1.0) in
-      let x = input 1 in
-      simple_out
-        (Printf.sprintf "(%s) > %.17g ? %.17g : ((%s) < %.17g ? %.17g : (%s))" x hi hi x lo
-           lo x)
-  | B.Switch ->
-      let threshold = param_float blk "Threshold" 0.0 in
-      simple_out
-        (Printf.sprintf "(%s) >= %.17g ? (%s) : (%s)" (input 2) threshold (input 1)
-           (input 3))
-  | B.Abs -> simple_out (Printf.sprintf "fabs(%s)" (input 1))
-  | B.Sqrt -> simple_out (Printf.sprintf "sqrt(%s)" (input 1))
-  | B.Trig ->
-      let fn =
-        match S.param_string blk "Function" with
-        | Some ("cos" | "tan") as f -> Option.get f
-        | Some _ | None -> "sin"
-      in
-      simple_out (Printf.sprintf "%s(%s)" fn (input 1))
-  | B.Min_max ->
-      let fn = if S.param_string blk "Function" = Some "min" then "fmin" else "fmax" in
-      let rec fold i acc =
-        if i > a.Sdf.actor_inputs then acc
-        else fold (i + 1) (Printf.sprintf "%s(%s, %s)" fn acc (input i))
-      in
-      simple_out (if a.Sdf.actor_inputs = 0 then "0.0" else fold 2 (input 1))
-  | B.Math ->
-      let fn = if S.param_string blk "Function" = Some "log" then "log" else "exp" in
-      simple_out (Printf.sprintf "%s(%s)" fn (input 1))
-  | B.Mux -> simple_out (input 1)
-  | B.Demux ->
-      for p = 1 to a.Sdf.actor_outputs do
-        M2t.line t "double %s = %s;" (out_var ident a p) (input 1)
-      done
-  | B.Terminator -> M2t.line t "(void)(%s);" (input 1)
-  | B.Unit_delay -> M2t.line t "%s = %s;" (state_var ident a) (input 1)
-  | B.S_function ->
-      let fn = sfunction_name blk in
-      let n_in = a.Sdf.actor_inputs in
-      M2t.line t "double in_%s[%d];" (ident a.Sdf.actor_name) (max n_in 1);
-      List.iteri
-        (fun i _ ->
-          M2t.line t "in_%s[%d] = %s;" (ident a.Sdf.actor_name) i (input (i + 1)))
-        (List.init n_in (fun i -> i));
-      M2t.line t "double out_%s[%d];" (ident a.Sdf.actor_name) (max a.Sdf.actor_outputs 1);
-      M2t.line t "sfun_%s(in_%s, %d, out_%s, %d);" (sfn fn)
-        (ident a.Sdf.actor_name) n_in (ident a.Sdf.actor_name) a.Sdf.actor_outputs;
-      for p = 1 to a.Sdf.actor_outputs do
-        M2t.line t "double %s = out_%s[%d];" (out_var ident a p) (ident a.Sdf.actor_name) (p - 1)
-      done
-  | B.Inport | B.Outport | B.Subsystem | B.Channel ->
-      invalid_arg "gen_threads: structural block in a thread body");
-  (* Push cross-thread outputs (delays pushed their snapshot already). *)
-  if not (is_delay a) then
-    Sdf.succs sdf a.Sdf.actor_name
-    |> List.iter (fun (e : Sdf.edge) ->
-           match fifo_for fifos e with
-           | Some f -> M2t.line t "fifo_push(&%s, %s);" f.fifo_var (out_var ident a e.Sdf.edge_src_port)
-           | None -> ())
-
-let model_source ~rounds ident sfn (m : Model.t) sdf fifos order =
-  (* Worker functions have their own namespace: run_<cpu>_<thread>. *)
-  let worker_ident =
-    let namer = make_namer () in
-    fun (cpu, thread) -> namer (cpu ^ "/" ^ thread)
-  in
+let model_source ~rounds (p : E.program) =
   let t = M2t.create () in
-  let actor name = Option.get (Sdf.find_actor sdf name) in
-  M2t.line t "/* Generated from CAAM model %s.  One POSIX thread per Thread-SS;" m.Model.model_name;
+  M2t.line t "/* Generated from CAAM model %s.  One POSIX thread per Thread-SS;"
+    p.E.model.Model.model_name;
   M2t.line t "   FIFOs carry the protocols chosen by channel inference. */";
   M2t.line t "#include <pthread.h>";
   M2t.line t "#include <stdio.h>";
@@ -277,146 +93,53 @@ let model_source ~rounds ident sfn (m : Model.t) sdf fifos order =
   M2t.line t "#define ROUNDS %d" rounds;
   M2t.blank t;
   List.iter
-    (fun f ->
-      let e = f.fifo_edge in
-      M2t.line t "static fifo_t %s; /* %s -> %s (%s) */" f.fifo_var e.Sdf.edge_src
-        e.Sdf.edge_dst f.fifo_protocol)
-    fifos;
+    (fun (f : E.fifo) ->
+      M2t.line t "static fifo_t %s; /* %s -> %s (%s) */" f.E.var f.E.edge.Sdf.edge_src
+        f.E.edge.Sdf.edge_dst f.E.protocol)
+    p.E.fifos;
   M2t.blank t;
-  (* Delay state. *)
   List.iter
-    (fun (a : Sdf.actor) ->
-      if is_delay a then
-        M2t.line t "static double %s = %.17g;" (state_var ident a)
-          (param_float a.Sdf.actor_block "InitialCondition" 0.0))
-    sdf.Sdf.actors;
-  (* Workers. *)
-  let workers =
-    List.filter_map
-      (fun name ->
-        match owner_of (actor name) with Worker (c, th) -> Some (c, th) | Env -> None)
-      order
-    |> List.fold_left (fun acc o -> if List.mem o acc then acc else o :: acc) []
-    |> List.rev
-  in
+    (fun a -> M2t.line t "static double %s = %.17g;" (E.state_var p a) (E.initial_condition a))
+    (E.delays p);
   List.iter
-    (fun (cpu, thread) ->
-      let mine =
-        List.filter
-          (fun name -> owner_of (actor name) = Worker (cpu, thread))
-          order
-      in
+    (fun (w : E.worker) ->
       M2t.blank t;
-      M2t.line t "/* Thread-SS %s on CPU-SS %s */" thread cpu;
-      M2t.line t "static void *run_%s(void *arg) {" (worker_ident (cpu, thread));
+      M2t.line t "/* Thread-SS %s on CPU-SS %s */" w.E.thread w.E.cpu;
+      M2t.line t "static void *run_%s(void *arg) {" w.E.id;
       M2t.indented t (fun () ->
           M2t.line t "(void)arg;";
-          M2t.line t "for (int round = 0; round < ROUNDS; ++round) {";
-          M2t.indented t (fun () ->
-              (* Phase 0: expose delay snapshots before anything blocks. *)
-              List.iter
-                (fun name ->
-                  let a = actor name in
-                  if is_delay a then (
-                    M2t.line t "double %s = %s;" (snapshot_var ident a) (state_var ident a);
-                    Sdf.succs sdf a.Sdf.actor_name
-                    |> List.iter (fun (e : Sdf.edge) ->
-                           match fifo_for fifos e with
-                           | Some f ->
-                               M2t.line t "fifo_push(&%s, %s);" f.fifo_var (snapshot_var ident a)
-                           | None -> ())))
-                mine;
-              List.iter (fun name -> emit_actor t ident sfn sdf fifos (actor name)) mine);
-          M2t.line t "}";
+          E.worker_rounds t dialect p w;
           M2t.line t "return 0;");
       M2t.line t "}")
-    workers;
+    p.E.workers;
   (* main: environment + thread management. *)
-  let env_inputs =
-    List.filter (fun name -> (actor name).Sdf.actor_block.S.blk_type = B.Inport
-                             && (actor name).Sdf.actor_path = []) order
-  in
-  let env_outputs = sdf.Sdf.graph_outputs in
   M2t.blank t;
   M2t.line t "int main(void) {";
   M2t.indented t (fun () ->
       List.iter
-        (fun f ->
-          let init = if f.fifo_protocol = "GFIFO" then "gfifo_init" else "swfifo_init" in
-          (* The Depth parameter of the outermost crossed channel. *)
-          let depth =
-            f.fifo_edge.Sdf.edge_channels
-            |> List.find_map (fun (name, _) ->
-                   let rec find_block sys =
-                     match S.find_block sys name with
-                     | Some b -> Some b
-                     | None ->
-                         List.find_map
-                           (fun (blk : S.block) ->
-                             Option.bind blk.S.blk_system find_block)
-                           (S.blocks sys)
-                   in
-                   Option.bind (find_block m.Model.root) (fun b -> S.param_int b "Depth"))
-            |> Option.value ~default:64
-          in
-          M2t.line t "%s(&%s, %d);" init f.fifo_var depth)
-        fifos;
-      M2t.line t "pthread_t workers[%d];" (max 1 (List.length workers));
+        (fun (f : E.fifo) ->
+          M2t.line t "%s(&%s, %d);"
+            (if f.E.protocol = "GFIFO" then "gfifo_init" else "swfifo_init")
+            f.E.var (depth p.E.model f.E.edge))
+        p.E.fifos;
+      M2t.line t "pthread_t workers[%d];" (max 1 (List.length p.E.workers));
       List.iteri
-        (fun i (cpu, thread) ->
-          M2t.line t "pthread_create(&workers[%d], 0, run_%s, 0);" i
-            (worker_ident (cpu, thread)))
-        workers;
-      M2t.line t "for (int round = 0; round < ROUNDS; ++round) {";
-      M2t.indented t (fun () ->
-          List.iter
-            (fun name ->
-              let a = actor name in
-              (* Same stimulus as the reference simulator. *)
-              let h = Hashtbl.hash a.Sdf.actor_name mod 10 in
-              M2t.line t "double %s = sin((round + %d.0) / 5.0);" (out_var ident a 1) h;
-              Sdf.succs sdf a.Sdf.actor_name
-              |> List.iter (fun (e : Sdf.edge) ->
-                     match fifo_for fifos e with
-                     | Some f -> M2t.line t "fifo_push(&%s, %s);" f.fifo_var (out_var ident a 1)
-                     | None -> ()))
-            env_inputs;
-          List.iter
-            (fun name ->
-              let a = actor name in
-              let feeding = Sdf.preds sdf a.Sdf.actor_name in
-              let expr =
-                match feeding with
-                | e :: _ -> (
-                    match fifo_for fifos e with
-                    | Some f -> Printf.sprintf "fifo_pop(&%s)" f.fifo_var
-                    | None -> "0.0")
-                | [] -> "0.0"
-              in
-              M2t.line t "printf(\"%s %%d %%.9f\\n\", round, %s);" (ident a.Sdf.actor_name)
-                expr)
-            env_outputs);
-      M2t.line t "}";
-      List.iteri (fun i _ -> M2t.line t "pthread_join(workers[%d], 0);" i) workers;
+        (fun i (w : E.worker) -> M2t.line t "pthread_create(&workers[%d], 0, run_%s, 0);" i w.E.id)
+        p.E.workers;
+      E.environment_rounds t dialect p;
+      List.iteri (fun i _ -> M2t.line t "pthread_join(workers[%d], 0);" i) p.E.workers;
       M2t.line t "return 0;");
   M2t.line t "}";
   M2t.contents t
 
 let generate ?(rounds = 10) (m : Model.t) =
-  let sdf = Sdf.of_model m in
-  let order = Exec.firing_order sdf in
-  let fifos = build_fifos sdf in
-  let sfuncs = collect_sfunctions sdf in
-  (* One namer per namespace, shared by every emitted file, so actor
-     and S-Function identifiers stay collision-free and consistent. *)
-  let ident = make_namer () and sfn = make_namer () in
-  let model_c = "#include <math.h>\n" ^ model_source ~rounds ident sfn m sdf fifos order in
+  let p = E.program m in
   {
     files =
       [
-        ("model.c", model_c);
-        ("sfunctions.h", sfunctions_header sfn sfuncs);
-        ("sfunctions.c", sfunctions_source sfn sfuncs);
+        ("model.c", "#include <math.h>\n" ^ model_source ~rounds p);
+        ("sfunctions.h", sfunctions_header p);
+        ("sfunctions.c", sfunctions_source p);
         ("fifo.h", Fifo_runtime.header);
         ("fifo.c", Fifo_runtime.source);
       ];

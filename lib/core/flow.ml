@@ -186,8 +186,3 @@ let run ?(style = Mapping.Caam) ?(strategy = Prefer_deployment) ?gate ?ctx uml =
 
 let ecore_xml output =
   Umlfront_metamodel.Ecore_io.to_string (Metamodels.simulink_to_mmodel output.caam)
-
-let c_code ?rounds output = Umlfront_codegen.Gen_threads.generate ?rounds output.caam
-
-let java_code ?rounds ?class_name output =
-  Umlfront_codegen.Gen_java.generate ?rounds ?class_name output.caam

@@ -77,6 +77,3 @@ val ecore_xml : output -> string
 (** The intermediate model-to-model artifact of Fig. 2: the generated
     CAAM serialized against the Simulink meta-model in E-core style XML
     (what the paper's step 2 hands to steps 3-4). *)
-
-val c_code : ?rounds:int -> output -> Umlfront_codegen.Gen_threads.generated
-val java_code : ?rounds:int -> ?class_name:string -> output -> string

@@ -53,10 +53,12 @@ let levels sdf =
   List.iter (fun n -> buckets.(level_of n) <- n :: buckets.(level_of n)) order;
   Array.to_list (Array.map List.rev buckets)
 
-let default_sfunction name inputs n_outputs =
+let sfunction_constants name =
   let h = Hashtbl.hash name in
-  let a = 0.25 +. (float_of_int (h mod 7) /. 8.0) in
-  let b = float_of_int (h mod 13) /. 13.0 in
+  (0.25 +. (float_of_int (h mod 7) /. 8.0), float_of_int (h mod 13) /. 13.0)
+
+let default_sfunction name inputs n_outputs =
+  let a, b = sfunction_constants name in
   let total = Array.fold_left ( +. ) 0.0 inputs in
   Array.init n_outputs (fun j -> (a *. total) +. b +. (0.1 *. float_of_int j))
 
@@ -236,9 +238,10 @@ let step t ~stimulus =
   t.round <- t.round + 1;
   List.rev !port_samples
 
+let stimulus_phase name = Hashtbl.hash name mod 10
+
 let default_stimulus name round =
-  let h = float_of_int (Hashtbl.hash name mod 10) in
-  sin ((float_of_int round +. h) /. 5.0)
+  sin ((float_of_int round +. float_of_int (stimulus_phase name)) /. 5.0)
 
 (* Tokens crossing each channel protocol: in an SDF round every edge
    carries exactly one token, so per-round occupancy per protocol is

@@ -41,6 +41,11 @@ val run :
 val default_sfunction : string -> float array -> int -> float array
 (** The pseudo-behaviour: [default_sfunction name inputs n_outputs]. *)
 
+val sfunction_constants : string -> float * float
+(** [(a, b)] of the pseudo-behaviour of S-Function [name]: output [j]
+    is [a *. sum inputs +. b +. 0.1 *. j].  The code generators bake
+    the same constants into their default S-Function bodies. *)
+
 (** {1 Stepping}
 
     A [session] executes one round at a time with a caller-supplied
@@ -100,8 +105,12 @@ val sum_signs : Umlfront_simulink.System.block -> int -> float list
     match the input count. *)
 
 val default_stimulus : string -> int -> float
-(** The default Inport stimulus: [sin] of the round, phase-shifted per
-    port name. *)
+(** The default Inport stimulus: [sin ((round + phase) / 5)], with the
+    port's {!stimulus_phase}. *)
+
+val stimulus_phase : string -> int
+(** The per-port phase (0-9) of {!default_stimulus}, derived from the
+    port name; the code generators emit the same formula. *)
 
 val channel_metrics : Sdf.t -> int -> unit
 (** Record per-protocol channel occupancy gauges and token counters

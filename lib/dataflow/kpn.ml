@@ -233,12 +233,6 @@ let zip_with ~in1 ~in2 ~out ~n f =
 
 let channel_name = Sdf.channel_name
 
-let param_float (blk : S.block) key fallback =
-  match List.assoc_opt key blk.S.blk_params with
-  | Some (B.P_float f) -> f
-  | Some (B.P_int i) -> float_of_int i
-  | Some _ | None -> fallback
-
 let of_sdf_actor sdf (a : Sdf.actor) ~rounds ~sfunction =
   let ins = Sdf.preds sdf a.Sdf.actor_name in
   let outs = Sdf.succs sdf a.Sdf.actor_name in
@@ -294,7 +288,7 @@ let of_sdf_actor sdf (a : Sdf.actor) ~rounds ~sfunction =
   | B.Unit_delay ->
       (* Prime the cycle with the initial condition, run one fewer
          write round so channels drain. *)
-      let init = param_float blk "InitialCondition" 0.0 in
+      let init = Exec.param_float blk "InitialCondition" 0.0 in
       write_all [| init |] (fun () ->
           let rec delay_loop last remaining =
             if remaining = 0 then Done last
@@ -306,10 +300,7 @@ let of_sdf_actor sdf (a : Sdf.actor) ~rounds ~sfunction =
           in
           delay_loop init rounds)
   | B.Inport when a.Sdf.actor_path = [] ->
-      let stimulus round =
-        let h = float_of_int (Hashtbl.hash a.Sdf.actor_name mod 10) in
-        sin ((float_of_int round +. h) /. 5.0)
-      in
+      let stimulus = Exec.default_stimulus a.Sdf.actor_name in
       let rec src_loop round =
         if round = rounds then Done (stimulus (rounds - 1))
         else write_all [| stimulus round |] (fun () -> src_loop (round + 1))
