@@ -18,6 +18,14 @@ let default_cost_model =
     bus_serialized = true;
   }
 
+type slot = {
+  actor : string;
+  cpu : string option;
+  thread : string option;
+  start : float;
+  finish : float;
+}
+
 type report = {
   makespan : float;
   period : float;
@@ -28,6 +36,7 @@ type report = {
   inter_tokens : int;
   comm_cost : float;
   bus_busy : float;
+  schedule : slot list;
 }
 
 let actor_cost model (a : Sdf.actor) =
@@ -69,6 +78,7 @@ let evaluate ?(model = default_cost_model) sdf =
       | `Wire -> ())
     sdf.Sdf.edges;
   let makespan = ref 0.0 in
+  let schedule = ref [] in
   let bus_free = ref 0.0 in
   let bus_busy = ref 0.0 in
   List.iter
@@ -110,6 +120,9 @@ let evaluate ?(model = default_cost_model) sdf =
           Hashtbl.replace cpu_busy cpu
             (cost +. Option.value (Hashtbl.find_opt cpu_busy cpu) ~default:0.0)
       | None -> ());
+      schedule :=
+        { actor = name; cpu = record_cpu; thread = Sdf.thread_of_actor a; start; finish = done_at }
+        :: !schedule;
       if done_at > !makespan then makespan := done_at)
     order;
   let sequential =
@@ -130,6 +143,7 @@ let evaluate ?(model = default_cost_model) sdf =
     inter_tokens = !inter;
     comm_cost = !comm_cost;
     bus_busy = !bus_busy;
+    schedule = List.rev !schedule;
   }
 
 let pp_report ppf r =

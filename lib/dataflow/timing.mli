@@ -19,6 +19,14 @@ val default_cost_model : cost_model
 (** wire 0, SWFIFO 2, GFIFO 10 — intra much cheaper than inter, as the
     paper assumes. *)
 
+type slot = {
+  actor : string;
+  cpu : string option;  (** [None] for the environment's ports *)
+  thread : string option;
+  start : float;
+  finish : float;
+}
+
 type report = {
   makespan : float;  (** one iteration: latency *)
   period : float;
@@ -32,6 +40,9 @@ type report = {
   inter_tokens : int;
   comm_cost : float;  (** total communication latency charged *)
   bus_busy : float;  (** time the shared bus spends transferring *)
+  schedule : slot list;
+      (** every actor's slot in the list schedule, in firing order; the
+          latest [finish] is the [makespan] *)
 }
 
 val evaluate : ?model:cost_model -> Sdf.t -> report

@@ -11,60 +11,26 @@ let traces_csv (o : Exec.outcome) =
   done;
   Buffer.contents buf
 
-(* Rebuild the schedule the way Timing does, but keep per-actor rows. *)
-let scheduled_rows sdf =
-  let model = Timing.default_cost_model in
-  let order = Exec.firing_order sdf in
-  let finish = Hashtbl.create 32 in
-  let cpu_free = Hashtbl.create 8 in
+(* The CPU slots of Timing's list schedule, with their CPU: what the
+   exports draw.  The environment's ports run on no CPU. *)
+let scheduled sdf =
   List.filter_map
-    (fun name ->
-      let a = Option.get (Sdf.find_actor sdf name) in
-      let cost =
-        match a.Sdf.actor_block.Umlfront_simulink.System.blk_type with
-        | Umlfront_simulink.Block.Inport | Umlfront_simulink.Block.Outport
-          when a.Sdf.actor_path = [] ->
-            0.0
-        | _ -> model.Timing.default_actor_cost
-      in
-      let latency (e : Sdf.edge) =
-        let protocols = List.map snd e.Sdf.edge_channels in
-        if List.mem "GFIFO" protocols then model.Timing.gfifo_cost
-        else if List.mem "SWFIFO" protocols then model.Timing.swfifo_cost
-        else model.Timing.wire_cost
-      in
-      let ready =
-        List.fold_left
-          (fun acc e ->
-            Float.max acc
-              (Option.value (Hashtbl.find_opt finish e.Sdf.edge_src) ~default:0.0
-              +. latency e))
-          0.0 (Sdf.preds sdf name)
-      in
-      let cpu = Sdf.cpu_of_actor a in
-      let start =
-        match cpu with
-        | Some c -> Float.max ready (Option.value (Hashtbl.find_opt cpu_free c) ~default:0.0)
-        | None -> ready
-      in
-      let done_at = start +. cost in
-      Hashtbl.replace finish name done_at;
-      Option.iter (fun c -> Hashtbl.replace cpu_free c done_at) cpu;
-      match cpu with
-      | Some c -> Some (name, c, Sdf.thread_of_actor a, start, done_at)
-      | None -> None)
-    order
+    (fun (slot : Timing.slot) -> Option.map (fun cpu -> (slot, cpu)) slot.Timing.cpu)
+    (Timing.evaluate sdf).Timing.schedule
+
+let cpus_of rows =
+  List.fold_left (fun acc (_, cpu) -> if List.mem cpu acc then acc else acc @ [ cpu ]) [] rows
 
 let schedule_csv sdf =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "actor,cpu,thread,start,finish\n";
   List.iter
-    (fun (name, cpu, thread, start, done_at) ->
+    (fun ((slot : Timing.slot), cpu) ->
       Buffer.add_string buf
-        (Printf.sprintf "%s,%s,%s,%.2f,%.2f\n" name cpu
-           (Option.value thread ~default:"-")
-           start done_at))
-    (scheduled_rows sdf);
+        (Printf.sprintf "%s,%s,%s,%.2f,%.2f\n" slot.Timing.actor cpu
+           (Option.value slot.Timing.thread ~default:"-")
+           slot.Timing.start slot.Timing.finish))
+    (scheduled sdf);
   Buffer.contents buf
 
 (* The same static schedule as [gantt], exported as Chrome trace-event
@@ -78,12 +44,8 @@ let schedule_csv sdf =
    the output is deterministic and golden-testable. *)
 let chrome_json sdf =
   let module Json = Umlfront_obs.Json in
-  let rows = scheduled_rows sdf in
-  let cpus =
-    List.fold_left
-      (fun acc (_, cpu, _, _, _) -> if List.mem cpu acc then acc else acc @ [ cpu ])
-      [] rows
-  in
+  let rows = scheduled sdf in
+  let cpus = cpus_of rows in
   let cpu_index c =
     let rec find i = function
       | [] -> 0
@@ -93,35 +55,35 @@ let chrome_json sdf =
   in
   let events =
     List.map
-      (fun (name, cpu, thread, start, finish) ->
+      (fun ((slot : Timing.slot), cpu) ->
         Json.Obj
           [
-            ("name", Json.String name);
+            ("name", Json.String slot.Timing.actor);
             ("cat", Json.String "schedule");
             ("ph", Json.String "X");
-            ("ts", Json.Float start);
-            ("dur", Json.Float (finish -. start));
+            ("ts", Json.Float slot.Timing.start);
+            ("dur", Json.Float (slot.Timing.finish -. slot.Timing.start));
             ("pid", Json.Int (1 + cpu_index cpu));
             ("tid", Json.Int 1);
             ( "args",
               Json.Obj
                 [
                   ("cpu", Json.String cpu);
-                  ("thread", Json.String (Option.value thread ~default:"-"));
+                  ("thread", Json.String (Option.value slot.Timing.thread ~default:"-"));
                 ] );
           ])
       rows
   in
   let row name =
-    List.find_opt (fun (n, _, _, _, _) -> String.equal n name) rows
+    List.find_opt (fun ((slot : Timing.slot), _) -> String.equal slot.Timing.actor name) rows
   in
   let flow_events =
     List.concat
       (List.mapi
          (fun i (e : Sdf.edge) ->
            match (row e.Sdf.edge_src, row e.Sdf.edge_dst) with
-           | ( Some (_, src_cpu, _, _, src_finish),
-               Some (_, dst_cpu, _, dst_start, _) ) ->
+           | Some (src, src_cpu), Some (dst, dst_cpu) ->
+               let src_finish = src.Timing.finish and dst_start = dst.Timing.start in
                let base ph ts cpu =
                  [
                    ("name", Json.String (Sdf.channel_name e));
@@ -161,26 +123,23 @@ let chrome_json sdf =
        ])
 
 let gantt ?(width = 60) sdf =
-  let rows = scheduled_rows sdf in
-  let horizon = List.fold_left (fun acc (_, _, _, _, f) -> Float.max acc f) 1.0 rows in
-  let cpus =
-    List.fold_left
-      (fun acc (_, cpu, _, _, _) -> if List.mem cpu acc then acc else acc @ [ cpu ])
-      [] rows
+  let rows = scheduled sdf in
+  let horizon =
+    List.fold_left (fun acc ((slot : Timing.slot), _) -> Float.max acc slot.Timing.finish) 1.0 rows
   in
   let buf = Buffer.create 512 in
   List.iter
     (fun cpu ->
       let lane = Bytes.make width '.' in
       List.iter
-        (fun (_, c, _, start, finish) ->
+        (fun ((slot : Timing.slot), c) ->
           if String.equal c cpu then
-            let from = int_of_float (start /. horizon *. float_of_int (width - 1)) in
-            let till = int_of_float (finish /. horizon *. float_of_int (width - 1)) in
+            let from = int_of_float (slot.Timing.start /. horizon *. float_of_int (width - 1)) in
+            let till = int_of_float (slot.Timing.finish /. horizon *. float_of_int (width - 1)) in
             for i = from to min till (width - 1) do
               Bytes.set lane i '#'
             done)
         rows;
       Buffer.add_string buf (Printf.sprintf "  %-8s |%s| 0..%.1f\n" cpu (Bytes.to_string lane) horizon))
-    cpus;
+    (cpus_of rows);
   Buffer.contents buf

@@ -5,7 +5,7 @@ val traces_csv : Exec.outcome -> string
     [round,portA,portB,...]. *)
 
 val schedule_csv : Sdf.t -> string
-(** The timing model's per-actor schedule:
+(** The CPU slots of {!Timing.evaluate}'s schedule:
     [actor,cpu,thread,start,finish]. *)
 
 val chrome_json : Sdf.t -> string
@@ -17,5 +17,5 @@ val chrome_json : Sdf.t -> string
     static timing model. *)
 
 val gantt : ?width:int -> Sdf.t -> string
-(** ASCII Gantt chart of one iteration per CPU, from the timing
-    model's schedule — a quick visual for reports. *)
+(** ASCII Gantt chart of one iteration per CPU, from
+    {!Timing.evaluate}'s schedule — a quick visual for reports. *)

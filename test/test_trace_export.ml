@@ -7,6 +7,7 @@ module Cs = Umlfront_casestudies
 module Sdf = Umlfront_dataflow.Sdf
 module Exec = Umlfront_dataflow.Exec
 module Trace_export = Umlfront_dataflow.Trace_export
+module Timing = Umlfront_dataflow.Timing
 
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
@@ -92,6 +93,43 @@ let chrome_schedule_export () =
   check Alcotest.bool "args carry the cpu" true
     (Astring_contains.contains json "\"cpu\":\"CPU1\"")
 
+(* The exports draw Timing's own list schedule (bus serialization and
+   Cost parameters included), so the schedule ends at the makespan. *)
+let schedule_is_timings () =
+  List.iter
+    (fun (label, model) ->
+      let sdf = Sdf.of_model (Core.Flow.run (model ())).Core.Flow.caam in
+      let report = Timing.evaluate sdf in
+      let expected =
+        List.filter_map
+          (fun (s : Timing.slot) ->
+            Option.map
+              (fun cpu ->
+                Printf.sprintf "%s,%s,%s,%.2f,%.2f" s.Timing.actor cpu
+                  (Option.value s.Timing.thread ~default:"-")
+                  s.Timing.start s.Timing.finish)
+              s.Timing.cpu)
+          report.Timing.schedule
+      in
+      let rows = List.tl (lines (Trace_export.schedule_csv sdf)) in
+      check Alcotest.(list string) (label ^ ": rows are Timing's schedule") expected rows;
+      let latest =
+        List.fold_left
+          (fun acc row ->
+            match List.rev (String.split_on_char ',' row) with
+            | finish :: _ -> Float.max acc (float_of_string finish)
+            | [] -> acc)
+          0.0 rows
+      in
+      check (Alcotest.float 0.005) (label ^ ": latest finish is the makespan")
+        report.Timing.makespan latest)
+    [
+      ("crane", Cs.Crane_system.model);
+      ("synthetic", Cs.Synthetic_system.model);
+      ("mjpeg", Cs.Mjpeg_system.model);
+      ("didactic", Cs.Didactic.model);
+    ]
+
 let suite =
   [
     ( "trace_export",
@@ -101,5 +139,6 @@ let suite =
         test "gantt width clamping" gantt_width_clamped;
         test "gantt lanes are cpus" gantt_lanes_are_cpus;
         test "chrome schedule export" chrome_schedule_export;
+        test "the exports draw Timing's schedule" schedule_is_timings;
       ] );
   ]
