@@ -6,7 +6,8 @@
     thread boundary becomes a FIFO of the protocol the channel
     inference chose (SWFIFO / GFIFO); UnitDelay blocks become static
     state pushed at round start, so cyclic models run without
-    deadlock.  Unknown S-Functions get a generated default body with
+    deadlock.  {!Gen_java} and {!Gen_systemc} are dialects of the same
+    emitter: one thread program, different syntax and file frame.  Unknown S-Functions get a generated default body with
     the {e same} affine behaviour the OCaml SDF executor uses, so the C
     program and {!Umlfront_dataflow.Exec} produce identical traces —
     the integration tests compile and diff them. *)
