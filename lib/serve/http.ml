@@ -2,7 +2,7 @@
    the contract; the implementation is a two-state machine (reading the
    head, reading the body) over a single growing buffer, with consumed
    prefixes compacted away so a long-lived keep-alive connection does
-   not accumulate garbage. *)
+   not accumulate garbage and a body costs time linear in its size. *)
 
 type request = {
   meth : string;
@@ -94,38 +94,49 @@ type state =
   | Failed of error
 
 type decoder = {
-  mutable pending : string;  (** unconsumed bytes *)
+  buf : Buffer.t;  (** bytes fed; the first [start] of them are consumed *)
+  mutable start : int;
   mutable state : state;
   max_body : int;
   max_header : int;
 }
 
 let decoder ?(max_body = 8 * 1024 * 1024) ?(max_header = 16 * 1024) () =
-  { pending = ""; state = Head; max_body; max_header }
+  { buf = Buffer.create 4096; start = 0; state = Head; max_body; max_header }
 
-let feed d chunk = if chunk <> "" then d.pending <- d.pending ^ chunk
+let feed d chunk = Buffer.add_string d.buf chunk
 
-let buffered d = String.length d.pending
+let buffered d = Buffer.length d.buf - d.start
 
-let consume d n =
-  d.pending <- String.sub d.pending n (String.length d.pending - n)
+(* Consume the next [n] bytes and return them.  Once the consumed bytes
+   are half the buffer the rest moves to a fresh one, so a byte is
+   copied a bounded number of times however the transport splits it. *)
+let take d n =
+  let bytes = Buffer.sub d.buf d.start n in
+  d.start <- d.start + n;
+  if 2 * d.start >= Buffer.length d.buf then (
+    let rest = Buffer.sub d.buf d.start (buffered d) in
+    Buffer.reset d.buf;
+    Buffer.add_string d.buf rest;
+    d.start <- 0);
+  bytes
 
 let lowercase_ascii = String.lowercase_ascii
 
 (* Find the end of the head: "\r\n\r\n" (CRLF) or "\n\n" (tolerated
-   bare-LF, what a hand-typed netcat session produces).  Returns
-   (head_text, bytes_consumed_incl_terminator). *)
-let find_head_end s =
-  let n = String.length s in
+   bare-LF, what a hand-typed netcat session produces).  Returns the
+   head's length and its terminator's. *)
+let find_head_end d =
+  let n = Buffer.length d.buf in
+  let is i c = i < n && Buffer.nth d.buf i = c in
   let rec go i =
     if i >= n then None
-    else if i + 3 < n && s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r'
-            && s.[i + 3] = '\n' then Some (String.sub s 0 i, i + 4)
-    else if i + 1 < n && s.[i] = '\n' && s.[i + 1] = '\n' then
-      Some (String.sub s 0 i, i + 2)
+    else if is i '\r' && is (i + 1) '\n' && is (i + 2) '\r' && is (i + 3) '\n' then
+      Some (i - d.start, 4)
+    else if is i '\n' && is (i + 1) '\n' then Some (i - d.start, 2)
     else go (i + 1)
   in
-  go 0
+  go d.start
 
 let split_lines head =
   (* Head lines are CRLF- or LF-terminated; strip the trailing CR. *)
@@ -162,8 +173,11 @@ let content_length headers =
   match List.filter (fun (n, _) -> n = "content-length") headers with
   | [] -> Ok None
   | [ (_, v) ] -> (
-      match int_of_string_opt (String.trim v) with
-      | Some n when n >= 0 -> Ok (Some n)
+      (* RFC 9110 §8.6: 1*DIGIT, where int_of_string would also take
+         0x10, 0o20, 1_6, +16 or 0u16. *)
+      match int_of_string_opt v with
+      | Some n when String.for_all (function '0' .. '9' -> true | _ -> false) v ->
+          Ok (Some n)
       | _ -> Error (`Bad_request (Printf.sprintf "invalid Content-Length %S" v)))
   | _ :: _ :: _ -> Error (`Bad_request "duplicate Content-Length")
 
@@ -209,15 +223,16 @@ let rec next d =
   match d.state with
   | Failed e -> `Error e
   | Head -> (
-      match find_head_end d.pending with
+      match find_head_end d with
       | None ->
-          if String.length d.pending > d.max_header then (
+          if buffered d > d.max_header then (
             let e = `Bad_request "request head too large" in
             d.state <- Failed e;
             `Error e)
           else `Await
-      | Some (head, used) -> (
-          consume d used;
+      | Some (length, terminator) -> (
+          let head = take d length in
+          ignore (take d terminator);
           match parse_head d head with
           | Error e ->
               d.state <- Failed e;
@@ -227,10 +242,9 @@ let rec next d =
               d.state <- Body { head = req; need };
               next d))
   | Body { head; need } ->
-      if String.length d.pending < need then `Await
+      if buffered d < need then `Await
       else begin
-        let body = String.sub d.pending 0 need in
-        consume d need;
+        let body = take d need in
         d.state <- Head;
         `Request { head with body }
       end

@@ -12,7 +12,8 @@
     - a request with a body must carry [Content-Length]
       ([`Length_required] — chunked encoding is not supported);
     - duplicate [Content-Length] headers are rejected ([`Bad_request]),
-      per RFC 7230 §3.3.2's smuggling concern;
+      per RFC 7230 §3.3.2's smuggling concern, and so is one that is not
+      all ASCII digits (RFC 9110 §8.6);
     - declared bodies larger than [max_body] are rejected
       ([`Payload_too_large]) before a single body byte is buffered. *)
 

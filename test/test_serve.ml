@@ -177,6 +177,39 @@ let http_tests =
         match Http.next d with
         | `Error (`Bad_request _) -> ()
         | _ -> Alcotest.fail "expected Bad_request on oversized head");
+    test "Content-Length is ASCII digits only" (fun () ->
+        List.iter
+          (fun spelling ->
+            let d = Http.decoder () in
+            Http.feed d
+              (Printf.sprintf "POST /x HTTP/1.1\r\nContent-Length: %s\r\n\r\n%s" spelling
+                 (String.make 16 'b'));
+            match Http.next d with
+            | `Error e -> check Alcotest.int spelling 400 (Http.error_status e)
+            | _ -> Alcotest.failf "Content-Length: %s framed a request" spelling)
+          [ "0x10"; "0o20"; "1_6"; "+16"; "0u16" ]);
+    test "a body fed in 8 KiB reads allocates less than 10x its size" (fun () ->
+        let size = 4 * 1024 * 1024 and read = 8 * 1024 in
+        let body = String.make size 'b' in
+        let reads = List.init (size / read) (fun i -> String.sub body (i * read) read) in
+        let d = Http.decoder () in
+        Http.feed d (Printf.sprintf "POST /x HTTP/1.1\r\nContent-Length: %d\r\n\r\n" size);
+        let before = Gc.allocated_bytes () in
+        let decoded =
+          List.filter_map
+            (fun chunk ->
+              Http.feed d chunk;
+              match Http.next d with
+              | `Request r -> Some r.Http.body
+              | `Await -> None
+              | `Error e -> failwith (Http.error_message e))
+            reads
+        in
+        let allocated = Gc.allocated_bytes () -. before in
+        checkb "one request with the whole body" (decoded = [ body ]);
+        checkb
+          (Printf.sprintf "%.0f bytes allocated for a %d-byte body" allocated size)
+          (allocated < 10. *. float size));
     test "keep_alive: HTTP/1.1 persistent unless Connection: close" (fun () ->
         let r s = List.hd (decode_all s) in
         checkb "default persistent" (Http.keep_alive (r "GET / HTTP/1.1\r\n\r\n"));
