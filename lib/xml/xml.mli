@@ -2,8 +2,14 @@
 
     Supports exactly what the model serialization layers need: elements
     with attributes, text nodes, comments, declarations, escaping, a
-    pretty-printer and a recursive-descent parser.  Namespaces are kept
-    as plain prefixed names. *)
+    pretty-printer and a parser.  Namespaces are kept as plain prefixed
+    names.
+
+    The parser is one loop over one byte offset into the input.  Open
+    elements wait on an explicit stack on the heap, so a document nested
+    a million levels deep needs no more native stack than a flat one.
+    Line and column are counted from the offset only when a parse
+    fails. *)
 
 type t =
   | Element of string * (string * string) list * t list
@@ -60,8 +66,19 @@ val pp : Format.formatter -> t -> unit
 (** {1 Parsing} *)
 
 val parse_string : string -> t
-(** Parse a document and return its root element.
-    @raise Parse_error on malformed input. *)
+(** Parse a document and return its root element.  A prolog of
+    whitespace, [<?…?>], comments and [<!DOCTYPE…>] may precede the
+    root; only whitespace may follow it.  Comments are dropped,
+    whitespace-only text between tags is dropped, and CDATA sections
+    become [Text].  The five predefined entities decode, and so do the
+    character references [&#]{i decimal digits}[;] and
+    [&#x]{i hex digits}[;] below 128.
+
+    The parser reads the input in one pass with one offset and keeps its
+    open elements on the heap, so its native stack use does not grow
+    with nesting depth.  A failure's line and column are counted from
+    that offset when it is raised.
+    @raise Parse_error on malformed input, and on nothing else. *)
 
 val parse_file : string -> t
 
