@@ -107,22 +107,35 @@ let jobs_arg =
 let compiled_jobs_arg =
   jobs_arg_with
     "Run the compiled executor on $(docv) domains (0 = all the hardware \
-     offers).  Only $(b,--engine compiled) and the $(b,compiled) conformance \
-     backend use them; the reference executor is always sequential.  \
+     offers); the reference executor, $(b,seq), is always sequential.  \
      Results are identical either way."
 
 (* `--engine seq|compiled`: which executor runs the SDF graph — the
-   reference interpreter or the compiled flat-schedule one. *)
-let engine_arg =
-  let doc =
-    "SDF execution engine: $(b,seq) (the reference interpreter) or \
-     $(b,compiled) (the compiled flat-schedule executor; work-stealing \
-     when -j > 1).  Results are bit-identical either way."
-  in
+   reference interpreter or the compiled flat-schedule one.  Its default
+   is the command's endpoint's, from [Api.engine]. *)
+let engine_arg endpoint ~doc =
   Arg.(
     value
-    & opt (parsed ~docv:"ENGINE" Conf.engine_of_string Conf.engine_name) `Seq
+    & opt
+        (parsed ~docv:"ENGINE" Conf.engine_of_string Conf.engine_name)
+        (Api.engine endpoint Api.default_options)
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
+
+let simulate_engine_arg =
+  engine_arg Api.Simulate
+    ~doc:
+      "SDF execution engine: $(b,compiled) (the compiled flat-schedule \
+       executor; work-stealing when -j > 1) or $(b,seq) (the reference \
+       interpreter).  Results are bit-identical either way."
+
+(* conform and fuzz: the engine is the reference every backend is
+   diffed against. *)
+let reference_engine_arg =
+  engine_arg Api.Conform
+    ~doc:
+      "Reference engine every backend is diffed against: $(b,seq) (the \
+       reference interpreter) or $(b,compiled) (the compiled flat-schedule \
+       executor, run sequentially)."
 
 (* `--backends seq,compiled,kpn,c,kpn-src` (default: all). *)
 let backends_arg =
@@ -303,7 +316,9 @@ let allocate_cmd =
 let simulate_cmd =
   let action path strategy rounds csv gantt jobs engine token_json token_dot () =
     if token_json <> None || token_dot <> None then Obs.Telemetry.enable ();
-    let opts = { Api.default_options with strategy; rounds; engine } in
+    let opts =
+      { Api.default_options with strategy; rounds; engine; engine_given = true }
+    in
     let sdf = Dataflow.Sdf.of_model (Api.transform opts (load path)).Core.Flow.caam in
     let jobs = if engine = `Compiled then jobs else 1 in
     let outcome = with_jobs jobs (fun pool -> Api.simulate ?pool opts sdf) in
@@ -351,7 +366,7 @@ let simulate_cmd =
   command "simulate" ~doc:"Map and execute the CAAM on the SDF simulator"
     Term.(
       const action $ uml_arg $ strategy_term $ rounds_arg $ csv_arg $ gantt_arg
-      $ compiled_jobs_arg $ engine_arg $ token_json_arg $ token_dot_arg)
+      $ compiled_jobs_arg $ simulate_engine_arg $ token_json_arg $ token_dot_arg)
 
 let codegen_cmd =
   let action path strategy rounds dir lang () =
@@ -723,7 +738,9 @@ let lint_cmd =
 
 let conform_cmd =
   let action path backends engine rounds strategy jobs format () =
-    let opts = { Api.default_options with strategy; rounds; engine; backends } in
+    let opts =
+      { Api.default_options with strategy; rounds; engine; engine_given = true; backends }
+    in
     (* A .mdl input is checked as-is — that is how a fuzz-corpus
        minimized counterexample reproduces faithfully, without the
        flow resynthesizing anything. *)
@@ -749,7 +766,8 @@ let conform_cmd =
        and diff the traces against the SDF reference executor; exit non-zero \
        on disagreement"
     Term.(
-      const action $ model_arg $ backends_arg $ engine_arg $ rounds_arg $ strategy_term
+      const action $ model_arg $ backends_arg $ reference_engine_arg $ rounds_arg
+      $ strategy_term
       $ compiled_jobs_arg $ report_format_arg)
 
 let serve_cmd =
@@ -1044,7 +1062,7 @@ let fuzz_cmd =
        against the reference executor, shrink and record any counterexample; \
        exit non-zero on disagreement"
     Term.(
-      const action $ seed_arg $ count_arg $ backends_arg $ engine_arg $ rounds_arg
+      const action $ seed_arg $ count_arg $ backends_arg $ reference_engine_arg $ rounds_arg
       $ shrink_arg $ corpus_arg)
 
 let () =

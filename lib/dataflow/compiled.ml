@@ -104,7 +104,12 @@ type op =
   | Op_mux
   | Op_demux
   | Op_terminator
-  | Op_sfunction of string (* resolved per firing, like Exec *)
+  | Op_sfunction of { fn : string; a : float; b : float }
+      (* [a], [b]: Exec.sfunction_constants of [fn], for the default
+         behaviour *)
+  | Op_custom of (float array -> float array)
+      (* an S-Function the caller's lookup supplied; never in a plan,
+         only in a run's resolved ops *)
   | Op_delay
   | Op_inport
   | Op_outport
@@ -114,8 +119,7 @@ type plan = {
   n : int;
   names : string array;
   ops : op array;
-  n_outs : int array;
-  n_prod : int array; (* statically produced ports; -1 = dynamic (S-function) *)
+  n_prod : int array; (* ports a firing produces; a caller's S-Function may differ *)
   is_delay : bool array;
   delay_init : float array;
   e_sp : int array; (* per edge: source port *)
@@ -165,7 +169,9 @@ let op_of (a : Sdf.actor) =
   | B.Demux -> Op_demux
   | B.Terminator -> Op_terminator
   | B.S_function ->
-      Op_sfunction (Option.value (S.param_string blk "FunctionName") ~default:blk.S.blk_name)
+      let fn = Option.value (S.param_string blk "FunctionName") ~default:blk.S.blk_name in
+      let a, b = Exec.sfunction_constants fn in
+      Op_sfunction { fn; a; b }
   | B.Unit_delay -> Op_delay
   | B.Inport -> Op_inport
   | B.Outport -> Op_outport
@@ -175,9 +181,8 @@ let op_of (a : Sdf.actor) =
 let produced_of (a : Sdf.actor) = function
   | Op_const _ | Op_gain _ | Op_sum _ | Op_product | Op_saturation _ | Op_switch _
   | Op_abs | Op_sqrt | Op_unary _ | Op_minmax _ | Op_mux | Op_inport -> 1
-  | Op_demux -> a.Sdf.actor_outputs
+  | Op_demux | Op_sfunction _ | Op_custom _ -> a.Sdf.actor_outputs
   | Op_terminator | Op_outport | Op_delay -> 0
-  | Op_sfunction _ -> -1
 
 let compile (sdf : Sdf.t) =
   let order_names = Exec.firing_order sdf (* raises Deadlock like the reference *) in
@@ -226,7 +231,6 @@ let compile (sdf : Sdf.t) =
     n;
     names = Array.map (fun (a : Sdf.actor) -> a.Sdf.actor_name) actors;
     ops;
-    n_outs = Array.map (fun (a : Sdf.actor) -> a.Sdf.actor_outputs) actors;
     n_prod = Array.mapi (fun i o -> produced_of actors.(i) o) ops;
     is_delay;
     delay_init =
@@ -301,9 +305,19 @@ let compute_fixed op (ins : float array) (outs : float array) n_prod =
       let v = if Array.length ins > 0 then ins.(0) else 0.0 in
       Array.fill outs 0 n_prod v
   | Op_terminator -> ()
-  | Op_sfunction _ | Op_delay | Op_inport | Op_outport -> assert false
+  | Op_sfunction { a; b; _ } -> Exec.default_sfunction_into ~a ~b ins outs n_prod
+  | Op_custom _ | Op_delay | Op_inport | Op_outport -> assert false
 
 let no_sfunctions : string -> (float array -> float array) option = fun _ -> None
+
+(* The run's ops: each S-Function looked up once, not per firing. *)
+let resolve_sfunctions sfunctions ops =
+  Array.map
+    (function
+      | Op_sfunction { fn; _ } as op -> (
+          match sfunctions fn with Some f -> Op_custom f | None -> op)
+      | op -> op)
+    ops
 
 let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds p =
   if batch < 1 then invalid_arg "Compiled.run: batch < 1";
@@ -376,18 +390,22 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds
       ignore (Obs.Telemetry.produce ~protocols ~round ~dst ~src:name ~firing chan)
     done
   in
-  let resolve_sfunction fn ins n_outs =
-    match sfunctions fn with Some f -> f ins | None -> Exec.default_sfunction fn ins n_outs
-  in
-  (* ---- sequential flat interpreter: FIFO push/pop discipline ---- *)
+  let ops = resolve_sfunctions sfunctions p.ops in
+  (* ---- sequential flat interpreter: FIFO push/pop discipline ----
+     Pops and pushes are written out on the rings' fields: a float
+     passed to or returned from a call that is not inlined is boxed,
+     and moving a token must not allocate. *)
   let gather_seq i =
     let ins = ins_scratch.(i) in
     let ie = p.in_edges.(i) in
     for k = 0 to Array.length ie - 1 do
       let e = ie.(k) in
-      let v = Fifo.pop rings.(e) in
+      let r = rings.(e) in
+      if r.Fifo.tail = r.Fifo.head then raise Fifo.Empty;
       let dp = p.e_dp.(e) in
-      if dp >= 1 && dp <= Array.length ins then ins.(dp - 1) <- v
+      if dp >= 1 && dp <= Array.length ins then
+        ins.(dp - 1) <- r.Fifo.buf.(r.Fifo.head land r.Fifo.mask);
+      r.Fifo.head <- r.Fifo.head + 1
     done;
     ins
   in
@@ -395,20 +413,27 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds
     let oe = p.out_edges.(i) in
     for k = 0 to Array.length oe - 1 do
       let e = oe.(k) in
+      let r = rings.(e) in
+      if r.Fifo.tail - r.Fifo.head = r.Fifo.cap then raise Fifo.Full;
       let sp = p.e_sp.(e) in
-      Fifo.push rings.(e) (if sp >= 1 && sp <= produced then arr.(sp - 1) else 0.0)
+      r.Fifo.buf.(r.Fifo.tail land r.Fifo.mask) <-
+        (if sp >= 1 && sp <= produced then arr.(sp - 1) else 0.0);
+      r.Fifo.tail <- r.Fifo.tail + 1
     done
   in
   let fire_seq i round =
     let ins = gather_seq i in
-    (match p.ops.(i) with
+    (match ops.(i) with
     | Op_delay ->
         (* The ring still holds this round's (older) token; pushing the
            new state behind it is the snapshot semantics. *)
         let v = if Array.length ins > 0 then ins.(0) else 0.0 in
         let oe = p.out_edges.(i) in
         for k = 0 to Array.length oe - 1 do
-          Fifo.push rings.(oe.(k)) v
+          let r = rings.(oe.(k)) in
+          if r.Fifo.tail - r.Fifo.head = r.Fifo.cap then raise Fifo.Full;
+          r.Fifo.buf.(r.Fifo.tail land r.Fifo.mask) <- v;
+          r.Fifo.tail <- r.Fifo.tail + 1
         done
     | Op_inport ->
         let outs = outs_scratch.(i) in
@@ -419,8 +444,8 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds
         let t = p.trace_of.(i) in
         if t >= 0 then trace_arrays.(t).(round) <- v;
         scatter_seq i 0 ins
-    | Op_sfunction fn ->
-        let res = resolve_sfunction fn ins p.n_outs.(i) in
+    | Op_custom f ->
+        let res = f ins in
         scatter_seq i (Array.length res) res
     | op ->
         let outs = outs_scratch.(i) in
@@ -457,7 +482,7 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds
         Fifo.set_slot rings.(e) gr (if sp >= 1 && sp <= produced then arr.(sp - 1) else 0.0)
       done
     in
-    match p.ops.(i) with
+    match ops.(i) with
     | Op_delay ->
         let v = if Array.length ins > 0 then ins.(0) else 0.0 in
         let oe = p.out_edges.(i) in
@@ -473,8 +498,8 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds
         let t = p.trace_of.(i) in
         if t >= 0 then trace_arrays.(t).(gr) <- v;
         scatter 0 ins
-    | Op_sfunction fn ->
-        let res = resolve_sfunction fn ins p.n_outs.(i) in
+    | Op_custom f ->
+        let res = f ins in
         scatter (Array.length res) res
     | op ->
         let outs = outs_scratch.(i) in

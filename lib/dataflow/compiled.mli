@@ -1,15 +1,20 @@
-(** Compiled flat-schedule execution of a flattened SDF graph.
+(** Compiled flat-schedule execution of a flattened SDF graph — what
+    [umlfront simulate] and [/api/simulate] run unless the oracle,
+    {!Exec.run}, is asked for by name.
 
     {!Exec.run} interprets the graph shape every firing: hashtable
     lookups per port, a fresh input array per actor, list walks over
     predecessor edges.  This module instead {e compiles} the static
     schedule once — actors and edges numbered densely, block parameters
-    resolved to immediates, token storage preallocated as ring-buffer
-    FIFOs sized from the Lee–Messerschmitt bounds (one slot per
-    forward edge, two per UnitDelay edge — the single-rate repetition
-    vector is all-ones, so the bound is the per-round token count plus
-    the delay's initial token) — and then runs a steady-state loop
-    that allocates nothing per round.
+    and the default S-Function behaviour's constants resolved to
+    immediates, token storage preallocated as ring-buffer FIFOs sized
+    from the Lee–Messerschmitt bounds (one slot per forward edge, two
+    per UnitDelay edge — the single-rate repetition vector is all-ones,
+    so the bound is the per-round token count plus the delay's initial
+    token) — and then runs a firing loop that writes every output into
+    the actor's preallocated slots and pushes and pops tokens without
+    boxing them.  With the default stimulus and S-Functions, a firing
+    allocates nothing but the float an Inport's stimulus returns.
 
     With a real domain pool (size > 1) it work-steals over the
     precedence DAG rather than barrier per dependency level: rounds are
@@ -81,9 +86,13 @@ val run_plan :
   plan ->
   Exec.outcome
 (** Execute a compiled plan.  Same optional arguments and semantics as
-    {!Exec.run}; [batch] (default 32, parallel mode only) is how many
-    rounds each work-stealing phase covers between synchronization
-    points.  Telemetry goes to the current {!Umlfront_obs.Context}. *)
+    {!Exec.run}, except that [sfunctions] is resolved once per run:
+    each S-Function's [FunctionName] is looked up once, where
+    {!Exec.run} looks it up at every firing, so the lookup must answer
+    the same for a name throughout a run.  [batch] (default 32,
+    parallel mode only) is how many rounds each work-stealing phase
+    covers between synchronization points.  Telemetry goes to the
+    current {!Umlfront_obs.Context}. *)
 
 val run :
   ?sfunctions:(string -> (float array -> float array) option) ->

@@ -57,10 +57,20 @@ let sfunction_constants name =
   let h = Hashtbl.hash name in
   (0.25 +. (float_of_int (h mod 7) /. 8.0), float_of_int (h mod 13) /. 13.0)
 
+let default_sfunction_into ~a ~b inputs outputs n_outputs =
+  let total = ref 0.0 in
+  for k = 0 to Array.length inputs - 1 do
+    total := !total +. inputs.(k)
+  done;
+  for j = 0 to n_outputs - 1 do
+    outputs.(j) <- (a *. !total) +. b +. (0.1 *. float_of_int j)
+  done
+
 let default_sfunction name inputs n_outputs =
   let a, b = sfunction_constants name in
-  let total = Array.fold_left ( +. ) 0.0 inputs in
-  Array.init n_outputs (fun j -> (a *. total) +. b +. (0.1 *. float_of_int j))
+  let outputs = Array.make n_outputs 0.0 in
+  default_sfunction_into ~a ~b inputs outputs n_outputs;
+  outputs
 
 let param_float (blk : S.block) key fallback =
   match List.assoc_opt key blk.S.blk_params with
@@ -308,9 +318,6 @@ let run ?sfunctions ?stimulus ~rounds sdf =
   in
   Obs.Metrics.incr "exec.rounds" ~by:rounds;
   Obs.Metrics.incr "exec.firings" ~by:(List.fold_left (fun acc (_, n) -> acc + n) 0 firings);
-  List.iter
-    (fun (name, n) -> if n > 0 then Obs.Metrics.incr ("exec.firings." ^ name) ~by:n)
-    firings;
   channel_metrics sdf rounds;
   Obs.Journal.record "exec.done"
     ~fields:

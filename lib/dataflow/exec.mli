@@ -32,8 +32,11 @@ val run :
     scaled per port).  Unconnected actor inputs read 0.
 
     Always sequential: this is the oracle every other executor and
-    backend is diffed against.  For a parallel run use
-    {!Compiled.run} with a pool — its outcome is bit-identical.
+    backend is diffed against — the default reference of conformance
+    checking and fuzzing, and their [seq] backend.  [simulate] runs
+    it only when asked for by name ([--engine seq], [engine=seq]); by
+    default it runs {!Compiled.run}, whose outcome is bit-identical
+    and which runs in parallel on a pool.
 
     Telemetry goes to the current {!Umlfront_obs.Context}; wrap the
     call in {!Umlfront_obs.Context.with_current} to send it elsewhere. *)
@@ -45,6 +48,13 @@ val sfunction_constants : string -> float * float
 (** [(a, b)] of the pseudo-behaviour of S-Function [name]: output [j]
     is [a *. sum inputs +. b +. 0.1 *. j].  The code generators bake
     the same constants into their default S-Function bodies. *)
+
+val default_sfunction_into :
+  a:float -> b:float -> float array -> float array -> int -> unit
+(** [default_sfunction_into ~a ~b inputs outputs n] writes the
+    pseudo-behaviour with constants [(a, b)] into [outputs.(0)] …
+    [outputs.(n-1)], allocating nothing: the kernel
+    {!default_sfunction} and {!Compiled} share. *)
 
 (** {1 Stepping}
 

@@ -35,6 +35,7 @@ type options = {
   strategy : Core.Flow.allocation_strategy;
   rounds : int;
   engine : Conf.engine;
+  engine_given : bool;
   backends : Conf.backend list option;
   file : string option;
   trace : bool;
@@ -45,10 +46,21 @@ let default_options =
     strategy = Core.Flow.Prefer_deployment;
     rounds = 10;
     engine = `Seq;
+    engine_given = false;
     backends = None;
     file = None;
     trace = false;
   }
+
+(* The one place an endpoint's engine is decided: the engine the caller
+   gave, else the compiled plan to simulate and the oracle, Exec.run,
+   as conform's reference. *)
+let engine endpoint opts =
+  if opts.engine_given then opts.engine
+  else
+    match endpoint with
+    | Simulate -> `Compiled
+    | Lint | Transform | Conform | Generate _ -> `Seq
 
 let max_rounds = 10_000
 
@@ -79,7 +91,7 @@ let options_of_query query =
             else fold { opts with rounds } cpus rest
         | "engine" ->
             let* engine = Conf.engine_of_string value in
-            fold { opts with engine } cpus rest
+            fold { opts with engine; engine_given = true } cpus rest
         | "backends" ->
             let* backends = Conf.backends_of_string value in
             fold { opts with backends = Some backends } cpus rest
@@ -120,19 +132,30 @@ let parse_model body =
 
 (* --- cache identity -------------------------------------------------- *)
 
+(* Only the options an endpoint reads, so that requests which cannot
+   differ in their answer share one entry; the strategy enters through
+   [Flow.cache_material]. *)
 let canonical_options endpoint opts =
+  let rounds = "rounds=" ^ string_of_int opts.rounds in
+  let engine = "engine=" ^ Conf.engine_name (engine endpoint opts) in
   String.concat "\n"
-    [
-      "endpoint=" ^ endpoint_name endpoint;
-      "rounds=" ^ string_of_int opts.rounds;
-      "engine=" ^ Conf.engine_name opts.engine;
-      ( "backends="
-      ^
-      match opts.backends with
-      | None -> "all"
-      | Some bs -> String.concat "," (List.map Conf.backend_name bs) );
-      ("file=" ^ match opts.file with None -> "" | Some f -> f);
-    ]
+    (("endpoint=" ^ endpoint_name endpoint)
+    ::
+    (match endpoint with
+    | Lint -> [ "file=" ^ Option.value opts.file ~default:"" ]
+    | Transform -> []
+    | Simulate -> [ rounds; engine ]
+    | Conform ->
+        [
+          rounds;
+          engine;
+          ( "backends="
+          ^
+          match opts.backends with
+          | None -> "all"
+          | Some bs -> String.concat "," (List.map Conf.backend_name bs) );
+        ]
+    | Generate _ -> [ rounds ]))
 
 let cache_key endpoint opts uml =
   Sha256.hex
@@ -145,12 +168,13 @@ let transform opts uml = Core.Flow.run ~strategy:opts.strategy uml
 let lint uml output = A.Lint.check ~uml output.Core.Flow.caam
 
 let simulate ?pool opts sdf =
-  match opts.engine with
+  match engine Simulate opts with
   | `Seq -> Dataflow.Exec.run ~rounds:opts.rounds sdf
   | `Compiled -> Dataflow.Compiled.run ?pool ~rounds:opts.rounds sdf
 
 let conform ?pool opts caam =
-  Conf.check ?backends:opts.backends ~engine:opts.engine ~rounds:opts.rounds ?pool caam
+  Conf.check ?backends:opts.backends ~engine:(engine Conform opts) ~rounds:opts.rounds
+    ?pool caam
 
 let files lang opts caam =
   let rounds = opts.rounds in
@@ -209,7 +233,7 @@ let simulate_json uml opts outcome =
        [
          ("model", Json.String uml.U.Model.model_name);
          ("rounds", Json.Int outcome.Dataflow.Exec.rounds);
-         ("engine", Json.String (Conf.engine_name opts.engine));
+         ("engine", Json.String (Conf.engine_name (engine Simulate opts)));
          ( "traces",
            Json.List
              (List.map

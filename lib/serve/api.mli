@@ -35,6 +35,12 @@ type options = {
   strategy : Umlfront_core.Flow.allocation_strategy;
   rounds : int;  (** execution rounds (simulate/conform/generate) *)
   engine : Umlfront_conformance.Conform.engine;
+      (** the engine [engine=] or [--engine] gave; [`Seq] when none was
+          given.  Read it through {!engine}, which applies the
+          endpoint's default. *)
+  engine_given : bool;
+      (** whether [engine] was given; set with it by
+          {!options_of_query}, and by the CLI, which always gives one *)
   backends : Umlfront_conformance.Conform.backend list option;
       (** conform only; [None] = all *)
   file : string option;  (** echoed in the lint JSON, CLI-style *)
@@ -45,7 +51,15 @@ type options = {
 }
 
 val default_options : options
-(** [Prefer_deployment], 10 rounds, [`Seq] engine, all backends. *)
+(** [Prefer_deployment], 10 rounds, no engine given (each endpoint's
+    default, see {!engine}), all backends. *)
+
+val engine : endpoint -> options -> Umlfront_conformance.Conform.engine
+(** The engine an endpoint runs: the one [options] gave, else the
+    endpoint's default.  [Simulate] defaults to [`Compiled], the
+    compiled plan; [Conform] to [`Seq], {!Umlfront_dataflow.Exec.run},
+    the oracle every backend is diffed against.  The other endpoints
+    run no executor. *)
 
 val count_of_string : what:string -> string -> (int, string) result
 (** The one parser of rounds and CPU counts, on both surfaces: an
@@ -54,7 +68,8 @@ val count_of_string : what:string -> string -> (int, string) result
 val options_of_query : (string * string) list -> (options, string) result
 (** Query vocabulary: [strategy=deployment|prefer-deployment|linear],
     [cpus=N] (bounded inference, wins over [strategy] as in the CLI),
-    [rounds=N] (1..10000), [engine=seq|compiled], [backends=a,b,...],
+    [rounds=N] (1..10000), [engine=seq|compiled] (absent: the
+    endpoint's default, see {!engine}), [backends=a,b,...],
     [file=PATH], [trace=0|1], parsed by the CLI's own parsers.  The
     10,000-round cap is HTTP's alone: it bounds untrusted input.
     Unknown keys are rejected — a typo must not silently select a
@@ -66,9 +81,13 @@ val parse_model :
     [Diagnostic.t] with code [UF901] for a 422 response. *)
 
 val cache_key : endpoint -> options -> Umlfront_uml.Model.t -> string
-(** SHA-256 hex over endpoint + canonical options +
-    {!Umlfront_core.Flow.cache_material} — equal keys guarantee equal
-    response bodies. *)
+(** SHA-256 hex over the endpoint, the options it reads and
+    {!Umlfront_core.Flow.cache_material} (which carries the strategy):
+    [file] on lint; [rounds] on simulate, conform and generate; the
+    resolved {!engine} on simulate and conform; [backends] on conform.
+    Equal keys guarantee equal response bodies, and options an
+    endpoint ignores do not split its entries: [/api/simulate] and
+    [/api/simulate?engine=compiled] share one. *)
 
 (** {2 Computations}
 
@@ -87,16 +106,17 @@ val simulate :
   options ->
   Umlfront_dataflow.Sdf.t ->
   Umlfront_dataflow.Exec.outcome
-(** [options.rounds] rounds on [options.engine]; only [`Compiled] runs
-    on [pool] (the CLI's [-j]). *)
+(** [options.rounds] rounds on [engine Simulate options]; only
+    [`Compiled] runs on [pool] (the CLI's [-j]). *)
 
 val conform :
   ?pool:Umlfront_parallel.Pool.t ->
   options ->
   Umlfront_simulink.Model.t ->
   Umlfront_conformance.Conform.report
-(** {!Umlfront_conformance.Conform.check} of a CAAM under [options]; the
-    server passes no [pool], so it spawns no domains. *)
+(** {!Umlfront_conformance.Conform.check} of a CAAM under [options],
+    against the reference [engine Conform options]; the server passes
+    no [pool], so it spawns no domains. *)
 
 val files :
   [< `C | `Java | `Kpn | `Systemc ] ->

@@ -1,8 +1,8 @@
 (* The CLI as an adapter over the serving API.  Its stdout is pinned
    by the cli.* goldens (test/dune); these cases check what the goldens
    cannot: the files `codegen` writes against Api.run on the same
-   model, the counts both surfaces reject, and that `map --block-dot`
-   runs the flow once. *)
+   model, the counts both surfaces reject, that `map --block-dot`
+   runs the flow once, and which engine `simulate` runs. *)
 
 module Api = Umlfront_serve.Api
 module CS = Umlfront_casestudies
@@ -149,9 +149,39 @@ let map_tests =
             check Alcotest.bool "a Graphviz digraph" true (contains dot_text "digraph")));
   ]
 
+(* simulate runs the compiled plan unless --engine seq asks for the
+   oracle, and prints the same bytes either way and on a pool. *)
+let simulate_tests =
+  [
+    test "simulate runs the compiled plan; --engine seq and -j 2 print the same"
+      (fun () ->
+        with_crane (fun model ->
+            let simulate args =
+              let journal = Filename.temp_file "umlfront_cli" ".jsonl" in
+              let code, out, err =
+                run_cli
+                  (Printf.sprintf "simulate --csv -n 50 %s%s --journal %s" args model
+                     (Filename.quote journal))
+              in
+              let kinds = read_file journal in
+              Sys.remove journal;
+              check Alcotest.int ("exit 0: " ^ err) 0 code;
+              (out, fun kind -> contains kinds (Printf.sprintf "\"kind\":\"%s\"" kind))
+            in
+            let default, journaled = simulate "" in
+            check Alcotest.bool "compiled.run journaled" true (journaled "compiled.run");
+            check Alcotest.bool "no exec.run" false (journaled "exec.run");
+            let seq, journaled = simulate "--engine seq " in
+            check Alcotest.bool "--engine seq journals exec.run" true (journaled "exec.run");
+            check Alcotest.string "--engine seq prints the same CSV" default seq;
+            let pooled, _ = simulate "-j 2 " in
+            check Alcotest.string "-j 2 prints the same CSV" default pooled));
+  ]
+
 let suite =
   [
     ("cli: codegen parity", codegen_tests);
     ("cli: counts", count_tests);
     ("cli: map", map_tests);
+    ("cli: simulate", simulate_tests);
   ]

@@ -1,7 +1,8 @@
 (* The compiled flat-schedule executor: ring-buffer FIFO discipline,
    bit-identity with the reference interpreter in both the sequential
-   and the batched work-stealing mode, telemetry parity, and the
-   property over every random model shape at several domain counts. *)
+   and the batched work-stealing mode, telemetry parity, a firing loop
+   that allocates nothing, and the property over every random model
+   shape at several domain counts. *)
 
 module Pool = Umlfront_parallel.Pool
 module Wsdeque = Umlfront_parallel.Wsdeque
@@ -13,6 +14,9 @@ module Fifo = Umlfront_dataflow.Compiled.Fifo
 module Cs = Umlfront_casestudies
 module R = Umlfront_casestudies.Random_models
 module T = Umlfront_obs.Telemetry
+module Obs = Umlfront_obs
+module S = Umlfront_simulink.System
+module B = Umlfront_simulink.Block
 
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
@@ -210,6 +214,38 @@ let compiled_telemetry_matches_reference () =
       check Alcotest.bool "parallel telemetry identical" true
         (reference = compiled_par))
 
+(* --- the firing loop allocates nothing ------------------------------- *)
+
+(* Past the per-run set-up (rings, scratch, the trace arrays, which at
+   these lengths go straight to the major heap), 500 more rounds must
+   cost no minor words: no boxed token, no S-Function output array.
+   Spans are off, as they are outside a served request; with them on,
+   each round also times itself into a histogram. *)
+let compiled_firing_loop_allocates_nothing () =
+  List.iter
+    (fun (shape, uml) ->
+      let sdf = Sdf.of_model (Core.Flow.run uml).Core.Flow.caam in
+      check Alcotest.bool (shape ^ " has default S-Functions") true
+        (List.exists
+           (fun (a : Sdf.actor) -> a.Sdf.actor_block.S.blk_type = B.S_function)
+           sdf.Sdf.actors);
+      let plan = Compiled.compile sdf in
+      let minor_words rounds =
+        Obs.Context.with_current (Obs.Context.create ()) (fun () ->
+            let before = Gc.minor_words () in
+            ignore (Compiled.run_plan ~rounds plan : Exec.outcome);
+            Gc.minor_words () -. before)
+      in
+      let w500 = minor_words 500 in
+      let w1000 = minor_words 1000 in
+      let per_firing = (w1000 -. w500) /. float_of_int (500 * List.length sdf.Sdf.actors) in
+      if per_firing > 0.5 then
+        Alcotest.failf "%s: %.2f minor words per extra firing" shape per_firing)
+    [
+      ("pipeline", R.pipeline ~seed:3 ~threads:5 ~extra_edges:2);
+      ("chatty", R.chatty ~seed:3 ~threads:4 ~width:3);
+    ]
+
 (* --- the property: every shape, several domain counts --------------- *)
 
 let shapes =
@@ -284,6 +320,7 @@ let suite =
         test "delay-broken cycles execute" compile_deadlocks_like_the_reference;
         test "token telemetry replays the reference stream"
           compiled_telemetry_matches_reference;
+        test "the firing loop allocates nothing" compiled_firing_loop_allocates_nothing;
         qcheck_compiled_matches_reference_on_random_models;
       ] );
   ]

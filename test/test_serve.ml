@@ -8,7 +8,9 @@
      the response serializer pinned byte-for-byte against a golden;
    - Cache: LRU semantics — recency, eviction order, byte bound,
      hit/miss/eviction counters;
-   - Api: query-option decoding and the content-hash cache key;
+   - Api: query-option decoding, the content-hash cache key over the
+     options each endpoint reads, and simulate on the compiled plan
+     against the Exec.run oracle;
    - JSON round-trips: Diagnostic and Conform reports decode back to
      what was encoded, so the wire format the server shares with the
      CLI is invertible;
@@ -46,6 +48,27 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let didactic_xmi = lazy (U.Xmi.to_string (CS.Didactic.model ()))
 let crane_xmi = lazy (U.Xmi.to_string (CS.Crane_system.model ()))
+
+(* [s] with every [sub] replaced by [by]; [sub] must occur. *)
+let replace_all ~sub ~by s =
+  let n = String.length sub in
+  let b = Buffer.create (String.length s) in
+  let rec go i found =
+    if i > String.length s - n then begin
+      if not found then Alcotest.failf "%S does not occur" sub;
+      Buffer.add_string b (String.sub s i (String.length s - i))
+    end
+    else if String.sub s i n = sub then begin
+      Buffer.add_string b by;
+      go (i + n) true
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1) found
+    end
+  in
+  go 0 false;
+  Buffer.contents b
 
 (* --- sha256 ---------------------------------------------------------- *)
 
@@ -290,8 +313,11 @@ let api_tests =
         | Ok o -> checkb "cpus wins" (o.Api.strategy = Core.Flow.Infer_bounded 3)
         | Error e -> Alcotest.fail e);
         (match Api.options_of_query [ ("engine", "compiled") ] with
-        | Ok o -> checkb "compiled" (o.Api.engine = `Compiled)
+        | Ok o ->
+            checkb "compiled" (o.Api.engine = `Compiled);
+            checkb "given" o.Api.engine_given
         | Error e -> Alcotest.fail e);
+        checkb "no engine given by default" (not Api.default_options.Api.engine_given);
         checkb "rounds 0 rejected" (Result.is_error (Api.options_of_query [ ("rounds", "0") ]));
         checkb "rounds huge rejected"
           (Result.is_error (Api.options_of_query [ ("rounds", "1000000") ]));
@@ -332,7 +358,108 @@ let api_tests =
           <> Api.cache_key Api.Lint { o with Api.strategy = Core.Flow.Infer_linear } m1);
         checkb "different models differ"
           (Api.cache_key Api.Lint o m1
-          <> Api.cache_key Api.Lint o (U.Xmi.of_string (Lazy.force crane_xmi))));
+          <> Api.cache_key Api.Lint o (U.Xmi.of_string (Lazy.force crane_xmi)));
+        (* Each endpoint's key holds only the options it reads. *)
+        let key e query =
+          match Api.options_of_query query with
+          | Ok o -> Api.cache_key e o m1
+          | Error msg -> Alcotest.fail msg
+        in
+        let same what e q = check Alcotest.string what (key e []) (key e q) in
+        same "lint ignores rounds" Api.Lint [ ("rounds", "3") ];
+        same "lint ignores engine and backends" Api.Lint
+          [ ("engine", "seq"); ("backends", "seq") ];
+        same "transform ignores rounds, engine, backends and file" Api.Transform
+          [ ("rounds", "3"); ("engine", "seq"); ("backends", "seq"); ("file", "m.xml") ];
+        same "simulate: no engine is engine=compiled" Api.Simulate
+          [ ("engine", "compiled") ];
+        same "simulate ignores backends and file" Api.Simulate
+          [ ("backends", "seq"); ("file", "m.xml") ];
+        same "conform: no engine is engine=seq" Api.Conform [ ("engine", "seq") ];
+        same "conform ignores file" Api.Conform [ ("file", "m.xml") ];
+        same "generate ignores engine, backends and file" (Api.Generate `C)
+          [ ("engine", "seq"); ("backends", "seq"); ("file", "m.xml") ];
+        let differs what e q = checkb what (key e [] <> key e q) in
+        differs "engine=seq changes the simulate key" Api.Simulate [ ("engine", "seq") ];
+        differs "engine=compiled changes the conform key" Api.Conform
+          [ ("engine", "compiled") ];
+        differs "file changes the lint key" Api.Lint [ ("file", "m.xml") ];
+        differs "backends change the conform key" Api.Conform [ ("backends", "seq") ];
+        differs "rounds change the generate key" (Api.Generate `Java) [ ("rounds", "3") ]);
+    test "served simulate runs the compiled plan and matches the oracle" (fun () ->
+        let models =
+          [
+            ("pipeline", R.pipeline ~seed:5 ~threads:4 ~extra_edges:2);
+            ("wide", R.wide ~seed:5 ~branches:3 ~depth:2);
+            ("monolithic", R.monolithic ~seed:5 ~calls:6);
+            ("cyclic", R.cyclic ~seed:5 ~stages:2);
+            ("multi-cpu", R.multi_cpu ~seed:5 ~threads:4 ~cpus:2 ~extra_edges:1);
+            ("chatty", R.chatty ~seed:5 ~threads:3 ~width:3);
+          ]
+        in
+        List.iter
+          (fun (shape, uml) ->
+            (* The body and the journal kinds of one request, in a
+               context of its own as the server gives each miss. *)
+            let serve query =
+              let opts =
+                match Api.options_of_query query with
+                | Ok o -> o
+                | Error msg -> Alcotest.fail msg
+              in
+              let ctx = Obs.Context.create () in
+              let o = Obs.Context.with_current ctx (fun () -> Api.run Api.Simulate opts uml) in
+              check Alcotest.int (shape ^ " status") 200 o.Api.status;
+              ( o.Api.body,
+                List.map
+                  (fun (e : Obs.Journal.entry) -> e.Obs.Journal.j_kind)
+                  (Obs.Journal.entries_in ctx.Obs.Context.journal) )
+            in
+            let default, default_kinds = serve [] in
+            let compiled, _ = serve [ ("engine", "compiled") ] in
+            let seq, seq_kinds = serve [ ("engine", "seq") ] in
+            check Alcotest.string (shape ^ ": default body = engine=compiled body") compiled
+              default;
+            check Alcotest.string (shape ^ ": engine=seq differs only in the engine member")
+              default
+              (replace_all ~sub:"\"engine\":\"seq\"" ~by:"\"engine\":\"compiled\"" seq);
+            checkb (shape ^ ": default journals compiled.run")
+              (List.mem "compiled.run" default_kinds && not (List.mem "exec.run" default_kinds));
+            checkb (shape ^ ": engine=seq journals exec.run")
+              (List.mem "exec.run" seq_kinds && not (List.mem "compiled.run" seq_kinds));
+            (* The default body's traces and firings are the oracle's,
+               as the wire renders them. *)
+            let oracle =
+              Umlfront_dataflow.Exec.run ~rounds:Api.default_options.Api.rounds
+                (Umlfront_dataflow.Sdf.of_model (Core.Flow.run uml).Core.Flow.caam)
+            in
+            let rendered json = Json.parse_exn (Json.to_string json) in
+            let body = Json.parse_exn default in
+            checkb (shape ^ ": traces are Exec.run's")
+              (Json.member "traces" body
+              = Some
+                  (rendered
+                     (Json.List
+                        (List.map
+                           (fun (port, samples) ->
+                             Json.Obj
+                               [
+                                 ("port", Json.String port);
+                                 ( "samples",
+                                   Json.List
+                                     (Array.to_list (Array.map (fun v -> Json.Float v) samples))
+                                 );
+                               ])
+                           oracle.Umlfront_dataflow.Exec.traces))));
+            checkb (shape ^ ": firings are Exec.run's")
+              (Json.member "firings" body
+              = Some
+                  (rendered
+                     (Json.Obj
+                        (List.map
+                           (fun (actor, n) -> (actor, Json.Int n))
+                           oracle.Umlfront_dataflow.Exec.firings)))))
+          models);
   ]
 
 (* --- JSON round-trips ------------------------------------------------ *)
@@ -497,8 +624,9 @@ let e2e_tests =
         expect "/api/lint" [ "\"diagnostics\"" ];
         expect "/api/transform"
           [ "\"allocation\""; "\"intra_channels\""; "\"mdl\""; "\"broken_cycles\"" ];
-        expect "/api/simulate?rounds=5" [ "\"traces\""; "\"firings\""; "\"rounds\":5" ];
-        expect "/api/simulate?rounds=5&engine=compiled" [ "\"engine\":\"compiled\"" ];
+        expect "/api/simulate?rounds=5"
+          [ "\"traces\""; "\"firings\""; "\"rounds\":5"; "\"engine\":\"compiled\"" ];
+        expect "/api/simulate?rounds=5&engine=seq" [ "\"engine\":\"seq\"" ];
         expect "/api/conform?backends=seq,compiled&rounds=5"
           [ "\"verdicts\""; "\"agree\"" ];
         expect "/api/generate/c" [ "\"language\":\"c\""; "\"files\"" ];
@@ -605,6 +733,33 @@ let e2e_tests =
         let m = (get s "/metrics").Client.body in
         checkb "hit counted in /metrics"
           (Astring_contains.contains m "umlfront_serve_cache_hit_total 1"));
+    test "/metrics families do not grow with the actor names executed" (fun () ->
+        with_server @@ fun s ->
+        let families () =
+          List.sort_uniq compare
+            (List.filter_map
+               (fun line ->
+                 match String.split_on_char ' ' line with
+                 | "#" :: "TYPE" :: name :: _ -> Some name
+                 | _ -> None)
+               (String.split_on_char '\n' (get s "/metrics").Client.body))
+        in
+        (* Both executors: conform's seq reference and seq backend, and
+           simulate on the oracle. *)
+        let execute xmi =
+          List.iter
+            (fun target -> check Alcotest.int target 200 (post s target xmi).Client.status)
+            [ "/api/conform?backends=seq&rounds=3"; "/api/simulate?engine=seq&rounds=3" ]
+        in
+        let crane = Lazy.force crane_xmi in
+        (* A scrape counts itself, as the first /api-less request. *)
+        ignore (families ());
+        execute crane;
+        let before = families () in
+        for i = 1 to 10 do
+          execute (replace_all ~sub:"Tcontrol" ~by:(Printf.sprintf "Tc%d" i) crane)
+        done;
+        check Alcotest.(list string) "same families" before (families ()));
     test "overload answers 503 with Retry-After, then recovers" (fun () ->
         with_server
           ~config:
@@ -716,7 +871,7 @@ let hammer_targets =
     "/api/lint";
     "/api/transform";
     "/api/simulate?rounds=5";
-    "/api/simulate?rounds=5&engine=compiled";
+    "/api/simulate?rounds=5&engine=seq";
     "/api/generate/c?rounds=4";
     "/api/generate/java";
     "/api/generate/kpn";
