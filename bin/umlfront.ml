@@ -816,7 +816,10 @@ let serve_cmd =
     Arg.(value & opt int 2 & info [ "pool" ] ~docv:"N" ~doc)
   in
   let cache_arg =
-    let doc = "Response cache budget in MiB (0 disables caching)." in
+    let doc =
+      "Response cache budget in MiB: cached responses plus the request bodies \
+       that filled them (0 disables caching)."
+    in
     Arg.(value & opt int 32 & info [ "cache-mb" ] ~docv:"N" ~doc)
   in
   let inflight_arg =

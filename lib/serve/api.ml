@@ -162,6 +162,17 @@ let cache_key endpoint opts uml =
     (canonical_options endpoint opts ^ "\n"
     ^ Core.Flow.cache_material ~strategy:opts.strategy uml)
 
+(* The options [cache_key] covers, the strategy that [cache_material]
+   carries there, then the body's MD5: fixed-length and last, so no
+   two (options, body) pairs spell the same key. *)
+let raw_key endpoint opts body =
+  String.concat "\n"
+    [
+      canonical_options endpoint opts;
+      "strategy=" ^ Core.Flow.strategy_name opts.strategy;
+      Digest.string body;
+    ]
+
 (* --- computations ---------------------------------------------------- *)
 
 let transform opts uml = Core.Flow.run ~strategy:opts.strategy uml

@@ -89,6 +89,16 @@ val cache_key : endpoint -> options -> Umlfront_uml.Model.t -> string
     endpoint ignores do not split its entries: [/api/simulate] and
     [/api/simulate?engine=compiled] share one. *)
 
+val raw_key : endpoint -> options -> string -> string
+(** The key of a request body as it arrived, for {!Cache.find_raw}:
+    the endpoint, the options {!cache_key} covers (the strategy
+    included, [bounded-N] too, [trace] not) and the MD5 of [body],
+    which is digested without being copied.  Two raw keys are equal
+    exactly when the [cache_key]s of the same body would be, so a
+    request can be answered from the cache without parsing it; bodies
+    that differ only in whitespace get different raw keys and meet at
+    their common [cache_key] instead. *)
+
 (** {2 Computations}
 
     What each endpoint computes, before any encoding; the CLI calls

@@ -1,10 +1,22 @@
-(** Content-addressed LRU response cache.
+(** Content-addressed LRU response cache with two indexes.
 
-    Keys are SHA-256 hex strings over canonical model bytes + endpoint
-    + options ({!Api.cache_key}); values are complete response payloads.
-    The cache is bounded by total byte size (bodies + keys), evicting
-    least-recently-used entries, and is safe to share across the server
-    worker domains (one mutex — lookups are string hashing, not work).
+    - The {e canonical} index is keyed by SHA-256 hex strings over
+      canonical model bytes + endpoint + options ({!Api.cache_key}).
+      Every entry is in it, and requests whose documents parse to the
+      same model share it.
+    - The {e raw} index is keyed by {!Api.raw_key}, a fast digest of
+      the request body as it arrived plus the options its endpoint
+      reads.  An entry is in it when {!add} was given the request body
+      that filled it; {!find_raw} answers only when the probing body
+      equals that stored body byte for byte, so a digest collision
+      costs a miss, never another model's answer.
+
+    Values are complete response payloads.  Both indexes share one
+    recency list and one byte bound: the bound counts each entry's
+    payload, its keys and, when kept, its request body, and evicts the
+    least-recently-used entry from both indexes at once.  The cache is
+    safe to share across the server worker domains (one mutex: lookups
+    are hashing and one string comparison, not work).
 
     Hit/miss/eviction counts accumulate in {!stats}; the server mirrors
     them into its metrics registry so they surface on [/metrics]. *)
@@ -12,11 +24,12 @@
 type value = { status : int; content_type : string; body : string }
 
 type stats = {
-  hits : int;
-  misses : int;
+  hits : int;  (** by either index *)
+  raw_hits : int;  (** the share of [hits] {!find_raw} answered *)
+  misses : int;  (** counted by {!find} alone *)
   evictions : int;
   entries : int;
-  bytes : int;  (** currently held *)
+  bytes : int;  (** currently held, request bodies included *)
   capacity : int;  (** the byte bound *)
 }
 
@@ -27,11 +40,21 @@ val create : max_bytes:int -> t
     stored. *)
 
 val find : t -> string -> value option
-(** Bumps the entry to most-recently-used and counts a hit; counts a
-    miss when absent. *)
+(** Look up a canonical key.  Bumps the entry to most-recently-used
+    and counts a hit; counts a miss when absent. *)
 
-val add : t -> string -> value -> unit
-(** Insert (or refresh) and evict LRU entries until the bound holds.  A
-    value larger than the whole bound is not stored. *)
+val find_raw : t -> string -> string -> (string * value) option
+(** [find_raw t raw_key request] is the canonical key and value of the
+    entry whose filling request body had [raw_key] and equals
+    [request].  A hit bumps the entry and counts a hit (and a raw hit);
+    an absent or different body counts nothing, so a caller that falls
+    back to {!find} still counts exactly one hit or one miss. *)
+
+val add : ?raw:string * string -> t -> string -> value -> unit
+(** Insert (or refresh) the entry of a canonical key and evict LRU
+    entries until the bound holds.  [raw] is the raw key and the request
+    body that filled the entry; given, the entry is in the raw index too
+    and the body counts against the bound.  An entry larger than the
+    whole bound is not stored. *)
 
 val stats : t -> stats

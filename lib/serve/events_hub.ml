@@ -3,16 +3,16 @@
    on) a streaming peer.
 
    [publish] appends a pre-rendered frame to each subscriber's bounded
-   outbox under the hub mutex — string append, no syscall — and pokes
-   the pump through a self-pipe.  The pump multiplexes with
-   [Unix.select] (OCaml's [Condition] has no timed wait; the self-pipe
-   gives wakeups, the select timeout gives the heartbeat): flushes
-   outboxes through non-blocking writes ([EAGAIN] keeps the bytes for
-   later, a torn peer is closed and dropped), reads subscriber sockets
-   only to notice EOF, and on every heartbeat interval broadcasts the
-   frame the [heartbeat] callback renders — a fresh window snapshot, so
-   an idle server still streams state and a curl with a timeout always
-   has something to read.
+   outbox under the hub mutex — string append, no syscall — and, when
+   it appended anything, pokes the pump through a self-pipe.  The pump
+   multiplexes with [Unix.select] (OCaml's [Condition] has no timed
+   wait; the self-pipe gives wakeups, the select timeout gives the
+   heartbeat): flushes outboxes through non-blocking writes ([EAGAIN]
+   keeps the bytes for later, a torn peer is closed and dropped), reads
+   subscriber sockets only to notice EOF, and on every heartbeat
+   interval broadcasts the frame the [heartbeat] callback renders — a
+   fresh window snapshot, so an idle server still streams state and a
+   curl with a timeout always has something to read.
 
    A subscriber whose outbox is full (a consumer that stopped reading)
    loses frames, counted in [dropped] — same telemetry contract as the
@@ -64,24 +64,25 @@ let subscribe t fd ~greeting =
   accepted
 
 (* Append [frame] to every outbox; full outboxes drop the frame (and
-   count it).  Returns how many subscribers dropped it. *)
+   count it).  Returns how many subscribers dropped it.  The pump is
+   woken only when an outbox grew: with no subscriber, publishing is a
+   lock and an empty list. *)
 let publish t frame =
-  let drops =
-    Mutex.protect t.lock @@ fun () ->
-    List.fold_left
-      (fun drops sub ->
-        if String.length sub.outbox + String.length frame > t.max_outbox then begin
-          t.dropped <- t.dropped + 1;
-          drops + 1
-        end
-        else begin
-          sub.outbox <- sub.outbox ^ frame;
-          drops
-        end)
-      0 t.subs
-  in
-  wake t;
-  drops
+  let appended = ref 0 and drops = ref 0 in
+  Mutex.protect t.lock (fun () ->
+      List.iter
+        (fun sub ->
+          if String.length sub.outbox + String.length frame > t.max_outbox then begin
+            t.dropped <- t.dropped + 1;
+            incr drops
+          end
+          else begin
+            sub.outbox <- sub.outbox ^ frame;
+            incr appended
+          end)
+        t.subs);
+  if !appended > 0 then wake t;
+  !drops
 
 (* --- the pump domain -------------------------------------------------- *)
 

@@ -2,7 +2,9 @@
    the contract; the implementation is a two-state machine (reading the
    head, reading the body) over a single growing buffer, with consumed
    prefixes compacted away so a long-lived keep-alive connection does
-   not accumulate garbage and a body costs time linear in its size. *)
+   not accumulate garbage and a body costs time linear in its size.
+   The buffer is kept between requests, so a keep-alive connection
+   regrows it only for a request larger than any before it. *)
 
 type request = {
   meth : string;
@@ -94,31 +96,78 @@ type state =
   | Failed of error
 
 type decoder = {
-  buf : Buffer.t;  (** bytes fed; the first [start] of them are consumed *)
+  mutable buf : bytes;  (** bytes [start, stop) are fed but not consumed *)
   mutable start : int;
+  mutable stop : int;
   mutable state : state;
   max_body : int;
   max_header : int;
 }
 
+let initial_capacity = 4096
+
+(* What an idle decoder may keep: a buffer that grew past this for one
+   large request is released once that request is consumed. *)
+let max_idle_capacity = 64 * 1024
+
 let decoder ?(max_body = 8 * 1024 * 1024) ?(max_header = 16 * 1024) () =
-  { buf = Buffer.create 4096; start = 0; state = Head; max_body; max_header }
+  {
+    buf = Bytes.create initial_capacity;
+    start = 0;
+    stop = 0;
+    state = Head;
+    max_body;
+    max_header;
+  }
 
-let feed d chunk = Buffer.add_string d.buf chunk
+let buffered d = d.stop - d.start
 
-let buffered d = Buffer.length d.buf - d.start
+(* Make room for [len] more bytes.  The unconsumed bytes slide to the
+   front when the consumed prefix is at least as long as they are (so
+   each slide is paid for by bytes consumed since the last one);
+   otherwise they move to a buffer twice the size they need with the
+   new bytes (paid for by the bytes fed before the next move).  Either
+   way a byte is copied a bounded number of times however the
+   transport splits it. *)
+let reserve d len =
+  if d.stop + len > Bytes.length d.buf then begin
+    let live = buffered d in
+    if live + len <= Bytes.length d.buf && d.start >= live then
+      Bytes.blit d.buf d.start d.buf 0 live
+    else begin
+      let grown = Bytes.create (2 * (live + len)) in
+      Bytes.blit d.buf d.start grown 0 live;
+      d.buf <- grown
+    end;
+    d.start <- 0;
+    d.stop <- live
+  end
 
-(* Consume the next [n] bytes and return them.  Once the consumed bytes
-   are half the buffer the rest moves to a fresh one, so a byte is
-   copied a bounded number of times however the transport splits it. *)
-let take d n =
-  let bytes = Buffer.sub d.buf d.start n in
+let feed_bytes d src off len =
+  if off < 0 || len < 0 || off > Bytes.length src - len then
+    invalid_arg "Http.feed_bytes";
+  reserve d len;
+  Bytes.blit src off d.buf d.stop len;
+  d.stop <- d.stop + len
+
+let feed d chunk = feed_bytes d (Bytes.unsafe_of_string chunk) 0 (String.length chunk)
+
+(* Consume [n] bytes.  An emptied buffer rewinds, and one that grew
+   past [max_idle_capacity] is released. *)
+let skip d n =
   d.start <- d.start + n;
-  if 2 * d.start >= Buffer.length d.buf then (
-    let rest = Buffer.sub d.buf d.start (buffered d) in
-    Buffer.reset d.buf;
-    Buffer.add_string d.buf rest;
-    d.start <- 0);
+  if d.start = d.stop then begin
+    d.start <- 0;
+    d.stop <- 0;
+    if Bytes.length d.buf > max_idle_capacity then
+      d.buf <- Bytes.create initial_capacity
+  end
+
+(* Consume the next [n] bytes and return them: the one copy a request's
+   bytes get in the decoder. *)
+let take d n =
+  let bytes = Bytes.sub_string d.buf d.start n in
+  skip d n;
   bytes
 
 let lowercase_ascii = String.lowercase_ascii
@@ -127,8 +176,8 @@ let lowercase_ascii = String.lowercase_ascii
    bare-LF, what a hand-typed netcat session produces).  Returns the
    head's length and its terminator's. *)
 let find_head_end d =
-  let n = Buffer.length d.buf in
-  let is i c = i < n && Buffer.nth d.buf i = c in
+  let n = d.stop in
+  let is i c = i < n && Bytes.get d.buf i = c in
   let rec go i =
     if i >= n then None
     else if is i '\r' && is (i + 1) '\n' && is (i + 2) '\r' && is (i + 3) '\n' then
@@ -232,7 +281,7 @@ let rec next d =
           else `Await
       | Some (length, terminator) -> (
           let head = take d length in
-          ignore (take d terminator);
+          skip d terminator;
           match parse_head d head with
           | Error e ->
               d.state <- Failed e;
@@ -285,17 +334,21 @@ let http_date t =
     tm.Unix.tm_mday month_name.(tm.Unix.tm_mon) (tm.Unix.tm_year + 1900)
     tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
 
+(* The head goes into a small buffer, then head and body into the one
+   string that is sent: the body is copied once. *)
 let response ?(headers = []) ?(content_type = "application/json") ?date
     ?(close = false) ~status body =
   let date = match date with Some d -> d | None -> http_date (Unix.time ()) in
-  let buf = Buffer.create (256 + String.length body) in
-  Printf.bprintf buf "HTTP/1.1 %d %s\r\n" status (status_reason status);
-  Printf.bprintf buf "Server: umlfront/1.0\r\n";
-  Printf.bprintf buf "Date: %s\r\n" date;
-  Printf.bprintf buf "Content-Type: %s\r\n" content_type;
-  Printf.bprintf buf "Content-Length: %d\r\n" (String.length body);
-  List.iter (fun (n, v) -> Printf.bprintf buf "%s: %s\r\n" n v) headers;
-  Printf.bprintf buf "Connection: %s\r\n" (if close then "close" else "keep-alive");
-  Buffer.add_string buf "\r\n";
-  Buffer.add_string buf body;
-  Buffer.contents buf
+  let head = Buffer.create 256 in
+  Printf.bprintf head "HTTP/1.1 %d %s\r\n" status (status_reason status);
+  Printf.bprintf head "Server: umlfront/1.0\r\n";
+  Printf.bprintf head "Date: %s\r\n" date;
+  Printf.bprintf head "Content-Type: %s\r\n" content_type;
+  Printf.bprintf head "Content-Length: %d\r\n" (String.length body);
+  List.iter (fun (n, v) -> Printf.bprintf head "%s: %s\r\n" n v) headers;
+  Printf.bprintf head "Connection: %s\r\n" (if close then "close" else "keep-alive");
+  Buffer.add_string head "\r\n";
+  let out = Bytes.create (Buffer.length head + String.length body) in
+  Buffer.blit head 0 out 0 (Buffer.length head);
+  Bytes.blit_string body 0 out (Buffer.length head) (String.length body);
+  Bytes.unsafe_to_string out

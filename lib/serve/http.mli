@@ -43,10 +43,25 @@ val decoder : ?max_body:int -> ?max_header:int -> unit -> decoder
 (** [max_body] (default 8 MiB) bounds the declared Content-Length;
     [max_header] (default 16 KiB) bounds the request head.  An error is
     sticky: once a decoder reports one, the connection is unparseable
-    (framing is lost) and must be closed. *)
+    (framing is lost) and must be closed.
+
+    Memory: bytes fed and not yet consumed wait in one buffer.  It
+    starts at 4 KiB, and when it must grow it becomes twice what it has
+    to hold.  It is kept across requests while it is at most 64 KiB, so
+    a keep-alive connection whose requests fit in it stops allocating
+    for them; once a larger request has been consumed it goes back to
+    4 KiB.  An idle decoder (everything fed was consumed) therefore
+    keeps at most 64 KiB. *)
+
+val feed_bytes : decoder -> bytes -> int -> int -> unit
+(** [feed_bytes d buf off len] appends [len] raw bytes of [buf] from
+    [off], copying them into the decoder: [buf] may be reused at once,
+    e.g. as the next read's buffer.
+    @raise Invalid_argument if [off] and [len] are not a valid range of
+    [buf]. *)
 
 val feed : decoder -> string -> unit
-(** Append raw bytes from the transport. *)
+(** [feed d s] is {!feed_bytes} of all of [s]. *)
 
 val next : decoder -> [ `Request of request | `Await | `Error of error ]
 (** The next complete request, [`Await] when more bytes are needed. *)
@@ -80,7 +95,8 @@ val response :
   string
 (** Serialize a full response: status line, [Server]/[Date]/
     [Content-Type]/[Content-Length]/[Connection] headers, the extra
-    [headers], a blank line, then the body.  [content_type] defaults to
+    [headers], a blank line, then the body, copied once into the
+    result.  [content_type] defaults to
     ["application/json"], [date] to {!http_date} of now (tests pass a
     fixed date so the bytes pin), [close] picks the [Connection]
     header. *)

@@ -189,90 +189,100 @@ let hit_event =
     ev_args = [];
   }
 
-(* One compute request: forked context, deadline, cache, metrics
-   merge-back, optional span-tree retention. *)
+(* One compute request: raw lookup, else parse, canonical lookup and a
+   forked context with a deadline; metrics merge-back, optional
+   span-tree retention.  A body that filled an entry is answered from
+   the raw index without being parsed; any other body pays for the
+   parse and the canonical key, and counts the hit or miss there. *)
 let compute t ~request_id ~trace_id endpoint (req : Http.request) =
   match Api.options_of_query req.Http.query with
   | Error msg ->
       let status, ct, body = json_error 400 msg in
       reply status ct body
   | Ok opts -> (
-      match Api.parse_model req.Http.body with
-      | Error d ->
-          reply 422 "application/json"
-            (Json.to_string
-               (Json.List [ Umlfront_analysis.Diagnostic.list_to_json [ d ] ])
-            ^ "\n")
-      | Ok uml -> (
-          let key = Api.cache_key endpoint opts uml in
-          let retain = opts.Api.trace || sampled t request_id in
-          let ep = Api.endpoint_name endpoint in
-          match Cache.find t.cache key with
-          | Some v ->
-              if retain then
-                Trace_store.add t.traces ~id:(string_of_int request_id)
-                  (chrome_trace ~request_id ~endpoint:ep ~trace_id
-                     [ hit_event ]);
-              reply
-                ~headers:[ ("X-Cache", "hit") ]
-                ~cache:"hit" ~model:key ~trace_stored:retain v.Cache.status
-                v.Cache.content_type v.Cache.body
-          | None ->
-              (* A fork of the root: spans and counters of this request
-                 land in its own buffer and registry, journal entries go
-                 straight to the root journal.  Only the metrics are
-                 merged back — absorbing every request's span tree into
-                 a daemon-lifetime buffer would grow without bound;
-                 retained trees go to the bounded {!Trace_store}
-                 instead. *)
-              let rctx = Obs.Context.fork t.root in
-              let deadline = Unix.gettimeofday () +. t.config.timeout_s in
-              let outcome =
-                Obs.Context.with_current rctx (fun () ->
-                    Obs.Trace.enable ();
-                    Obs.Journal.record
-                      ~fields:
-                        [
-                          ("endpoint", Json.String ep);
-                          ("request", Json.Int request_id);
-                        ]
-                      "serve.request";
-                    match Api.run ~deadline endpoint opts uml with
-                    | o -> Ok o
-                    | exception Api.Timeout -> Error `Timeout)
-              in
-              let events = Obs.Trace.events_in rctx.Obs.Context.trace in
-              let spans = List.length events in
-              if retain then
-                Trace_store.add t.traces ~id:(string_of_int request_id)
-                  (chrome_trace ~request_id ~endpoint:ep ~trace_id events);
-              Obs.Metrics.merge ~into:t.root.Obs.Context.metrics
-                rctx.Obs.Context.metrics;
-              let headers =
-                [ ("X-Cache", "miss"); ("X-Request-Spans", string_of_int spans) ]
-              in
-              (match outcome with
-              | Ok o ->
-                  if o.Api.status = 200 then
-                    Cache.add t.cache key
-                      {
-                        Cache.status = o.Api.status;
-                        content_type = o.Api.content_type;
-                        body = o.Api.body;
-                      };
-                  reply ~headers ~cache:"miss" ~spans ~model:key
-                    ~trace_stored:retain o.Api.status o.Api.content_type
-                    o.Api.body
-              | Error `Timeout ->
-                  reply
-                    ~headers:(("Retry-After", "1") :: headers)
-                    ~cache:"miss" ~spans ~model:key ~trace_stored:retain 503
-                    "application/json" timeout_body)))
+      let retain = opts.Api.trace || sampled t request_id in
+      let ep = Api.endpoint_name endpoint in
+      let hit key v =
+        if retain then
+          Trace_store.add t.traces ~id:(string_of_int request_id)
+            (chrome_trace ~request_id ~endpoint:ep ~trace_id [ hit_event ]);
+        reply
+          ~headers:[ ("X-Cache", "hit") ]
+          ~cache:"hit" ~model:key ~trace_stored:retain v.Cache.status
+          v.Cache.content_type v.Cache.body
+      in
+      let raw = Api.raw_key endpoint opts req.Http.body in
+      match Cache.find_raw t.cache raw req.Http.body with
+      | Some (key, v) -> hit key v
+      | None -> (
+          match Api.parse_model req.Http.body with
+          | Error d ->
+              reply 422 "application/json"
+                (Json.to_string
+                   (Json.List [ Umlfront_analysis.Diagnostic.list_to_json [ d ] ])
+                ^ "\n")
+          | Ok uml -> (
+              let key = Api.cache_key endpoint opts uml in
+              match Cache.find t.cache key with
+              | Some v -> hit key v
+              | None ->
+                  (* A fork of the root: spans and counters of this request
+                     land in its own buffer and registry, journal entries go
+                     straight to the root journal.  Only the metrics are
+                     merged back — absorbing every request's span tree into
+                     a daemon-lifetime buffer would grow without bound;
+                     retained trees go to the bounded {!Trace_store}
+                     instead. *)
+                  let rctx = Obs.Context.fork t.root in
+                  let deadline = Unix.gettimeofday () +. t.config.timeout_s in
+                  let outcome =
+                    Obs.Context.with_current rctx (fun () ->
+                        Obs.Trace.enable ();
+                        Obs.Journal.record
+                          ~fields:
+                            [
+                              ("endpoint", Json.String ep);
+                              ("request", Json.Int request_id);
+                            ]
+                          "serve.request";
+                        match Api.run ~deadline endpoint opts uml with
+                        | o -> Ok o
+                        | exception Api.Timeout -> Error `Timeout)
+                  in
+                  let events = Obs.Trace.events_in rctx.Obs.Context.trace in
+                  let spans = List.length events in
+                  if retain then
+                    Trace_store.add t.traces ~id:(string_of_int request_id)
+                      (chrome_trace ~request_id ~endpoint:ep ~trace_id events);
+                  Obs.Metrics.merge ~into:t.root.Obs.Context.metrics
+                    rctx.Obs.Context.metrics;
+                  let headers =
+                    [ ("X-Cache", "miss"); ("X-Request-Spans", string_of_int spans) ]
+                  in
+                  (match outcome with
+                  | Ok o ->
+                      if o.Api.status = 200 then
+                        Cache.add ~raw:(raw, req.Http.body) t.cache key
+                          {
+                            Cache.status = o.Api.status;
+                            content_type = o.Api.content_type;
+                            body = o.Api.body;
+                          };
+                      reply ~headers ~cache:"miss" ~spans ~model:key
+                        ~trace_stored:retain o.Api.status o.Api.content_type
+                        o.Api.body
+                  | Error `Timeout ->
+                      reply
+                        ~headers:(("Retry-After", "1") :: headers)
+                        ~cache:"miss" ~spans ~model:key ~trace_stored:retain 503
+                        "application/json" timeout_body))))
 
 let metrics_body t =
   let r = t.root.Obs.Context.metrics in
   let c = Cache.stats t.cache in
   Obs.Metrics.set_gauge ~registry:r "serve.cache.hits" (float_of_int c.Cache.hits);
+  Obs.Metrics.set_gauge ~registry:r "serve.cache.raw_hits"
+    (float_of_int c.Cache.raw_hits);
   Obs.Metrics.set_gauge ~registry:r "serve.cache.misses"
     (float_of_int c.Cache.misses);
   Obs.Metrics.set_gauge ~registry:r "serve.cache.evictions"
@@ -438,11 +448,13 @@ let record_access t (req : Http.request) (rep : reply) ~request_id ~tp ~dur_us =
       if not (Access_log.append log line) then
         Obs.Metrics.incr ~registry:r "access_log.dropped"
   | None -> ());
-  let drops =
-    Events_hub.publish t.hub
-      (Sse.frame ~name:"request" (Json.to_string (Json.Obj fields)))
-  in
-  if drops > 0 then Obs.Metrics.incr ~registry:r ~by:drops "serve.events.dropped"
+  (* Render the frame only for someone to read it. *)
+  if Events_hub.subscribers t.hub > 0 then
+    let drops =
+      Events_hub.publish t.hub
+        (Sse.frame ~name:"request" (Json.to_string (Json.Obj fields)))
+    in
+    if drops > 0 then Obs.Metrics.incr ~registry:r ~by:drops "serve.events.dropped"
 
 (* [/events]: write the response head and hello frame into the hub's
    outbox and hand the socket over — the conversation (and its worker
@@ -530,7 +542,7 @@ let conversation t fd =
         match Unix.read fd buf 0 (Bytes.length buf) with
         | 0 -> `Done (* peer closed *)
         | n ->
-            Http.feed dec (Bytes.sub_string buf 0 n);
+            Http.feed_bytes dec buf 0 n;
             loop ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
         | exception

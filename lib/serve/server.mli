@@ -52,7 +52,9 @@
 type config = {
   port : int;  (** 0 picks an ephemeral port (see {!port}) *)
   pool : int;  (** worker domains handling connections (>= 0) *)
-  cache_mb : int;  (** response cache budget; [<= 0] disables *)
+  cache_mb : int;
+      (** response cache budget, the stored request bodies included;
+          [<= 0] disables *)
   max_inflight : int;  (** admission-control bound on open connections *)
   timeout_s : float;  (** per-request compute deadline, and socket read timeout *)
   max_body : int;  (** request-body bound (413 beyond it) *)

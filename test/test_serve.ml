@@ -4,10 +4,13 @@
    Layers under test, inside out:
    - Sha256: FIPS 180-4 vectors (the cache key depends on it);
    - Http: the incremental codec — torn 1-byte reads, pipelining,
-     missing/duplicate Content-Length, header case-insensitivity, and
-     the response serializer pinned byte-for-byte against a golden;
+     missing/duplicate Content-Length, header case-insensitivity, what
+     decoding and encoding allocate, and the response serializer pinned
+     byte-for-byte against a golden;
    - Cache: LRU semantics — recency, eviction order, byte bound,
-     hit/miss/eviction counters;
+     hit/miss/eviction counters — and the raw index beside the
+     canonical one: byte-for-byte confirmation, request bodies in the
+     bound, eviction from both;
    - Api: query-option decoding, the content-hash cache key over the
      options each endpoint reads, and simulate on the compiled plan
      against the Exec.run oracle;
@@ -69,6 +72,22 @@ let replace_all ~sub ~by s =
   in
   go 0 false;
   Buffer.contents b
+
+(* Words [f] allocates on this domain, minor and major, and its result.
+   A minor collection on each side brings the counters up to date:
+   between collections they leave out the minor heap's current fill. *)
+let allocated_words f =
+  Gc.minor ();
+  let before = Gc.quick_stat () in
+  let result = f () in
+  Gc.minor ();
+  let after = Gc.quick_stat () in
+  ( after.Gc.minor_words -. before.Gc.minor_words
+    +. (after.Gc.major_words -. before.Gc.major_words)
+    -. (after.Gc.promoted_words -. before.Gc.promoted_words),
+    result )
+
+let word_bytes = float (Sys.word_size / 8)
 
 (* --- sha256 ---------------------------------------------------------- *)
 
@@ -233,6 +252,53 @@ let http_tests =
         checkb
           (Printf.sprintf "%.0f bytes allocated for a %d-byte body" allocated size)
           (allocated < 10. *. float size));
+    test "a keep-alive decoder copies each 15 KB request about once" (fun () ->
+        (* 100 requests one after another on one decoder, each arriving
+           in 8 KiB reads out of one reused read buffer, as the server
+           feeds them. *)
+        let size = 15_000 and read = 8 * 1024 and requests = 100 in
+        let raw =
+          Bytes.of_string
+            (Printf.sprintf "POST /api/lint HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+               size (String.make size 'b'))
+        in
+        let d = Http.decoder () in
+        let decoded = ref 0 in
+        let words, () =
+          allocated_words @@ fun () ->
+          for _ = 1 to requests do
+            let off = ref 0 in
+            while !off < Bytes.length raw do
+              let n = min read (Bytes.length raw - !off) in
+              Http.feed_bytes d raw !off n;
+              off := !off + n;
+              match Http.next d with
+              | `Request r -> if String.length r.Http.body = size then incr decoded
+              | `Await -> ()
+              | `Error e -> failwith (Http.error_message e)
+            done
+          done
+        in
+        let per_request = words *. word_bytes /. float requests in
+        check Alcotest.int "every request decoded" requests !decoded;
+        checkb
+          (Printf.sprintf "%.0f bytes allocated per %d-byte request" per_request
+             (Bytes.length raw))
+          (per_request <= 1.5 *. float (Bytes.length raw)));
+    test "Http.response copies the body once" (fun () ->
+        let body = String.make 15_000 'r' in
+        let words, reply =
+          allocated_words (fun () ->
+              Http.response
+                ~headers:[ ("X-Cache", "hit"); ("X-Request-Id", "7") ]
+                ~status:200 body)
+        in
+        let allocated = words *. word_bytes in
+        checkb "ends with the body" (String.ends_with ~suffix:body reply);
+        checkb
+          (Printf.sprintf "%.0f bytes allocated for a %d-byte body" allocated
+             (String.length body))
+          (allocated <= 1.5 *. float (String.length body)));
     test "keep_alive: HTTP/1.1 persistent unless Connection: close" (fun () ->
         let r s = List.hd (decode_all s) in
         checkb "default persistent" (Http.keep_alive (r "GET / HTTP/1.1\r\n\r\n"));
@@ -295,7 +361,67 @@ let cache_tests =
     test "max_bytes <= 0 disables storage" (fun () ->
         let c = Cache.create ~max_bytes:0 in
         Cache.add c "k" (v "body");
-        checkb "nothing stored" (Cache.find c "k" = None));
+        checkb "nothing stored" (Cache.find c "k" = None);
+        Cache.add ~raw:("r", "request") c "k" (v "body");
+        checkb "nothing stored under the raw key" (Cache.find_raw c "r" "request" = None);
+        check Alcotest.int "no entries" 0 (Cache.stats c).Cache.entries);
+    test "raw index: a body colliding on the raw key never gets another's reply"
+      (fun () ->
+        let c = Cache.create ~max_bytes:4096 in
+        Cache.add ~raw:("digest", "first body") c "k1" (v "first reply");
+        checkb "the other body misses" (Cache.find_raw c "digest" "second body" = None);
+        checkb "a prefix misses" (Cache.find_raw c "digest" "first" = None);
+        checkb "the stored body hits"
+          (Cache.find_raw c "digest" "first body" = Some ("k1", v "first reply"));
+        let s = Cache.stats c in
+        check Alcotest.int "one hit" 1 s.Cache.hits;
+        check Alcotest.int "one raw hit" 1 s.Cache.raw_hits;
+        check Alcotest.int "raw misses count nothing" 0 s.Cache.misses;
+        (* The second body fills its own entry under the same raw key:
+           each body now finds only its own reply. *)
+        Cache.add ~raw:("digest", "second body") c "k2" (v "second reply");
+        checkb "the newer body hits"
+          (Cache.find_raw c "digest" "second body" = Some ("k2", v "second reply"));
+        checkb "the older body misses" (Cache.find_raw c "digest" "first body" = None));
+    test "raw index: the request body counts against the bound" (fun () ->
+        let c = Cache.create ~max_bytes:4096 in
+        Cache.add c "k" (v "reply");
+        let plain = (Cache.stats c).Cache.bytes in
+        Cache.add ~raw:("raw", String.make 1000 'q') c "k" (v "reply");
+        check Alcotest.int "body and raw key counted" (plain + 1000 + (2 * 3))
+          (Cache.stats c).Cache.bytes;
+        (* 100 reply + 2*1 key + 64 = 166 fits a 300-byte bound alone;
+           with a 200-byte request and its raw key it does not. *)
+        let c = Cache.create ~max_bytes:300 in
+        Cache.add ~raw:("r", String.make 200 'q') c "k" (v (String.make 100 'a'));
+        checkb "not in the canonical index" (Cache.find c "k" = None);
+        checkb "not in the raw index" (Cache.find_raw c "r" (String.make 200 'q') = None);
+        check Alcotest.int "nothing held" 0 (Cache.stats c).Cache.bytes);
+    test "raw index: eviction removes an entry from both indexes" (fun () ->
+        (* Each entry costs 100 + 2*1 + 64 + 10 + 2*2 = 180: room for two. *)
+        let c = Cache.create ~max_bytes:400 in
+        let request k = String.make 10 k in
+        Cache.add ~raw:("ra", request 'a') c "a" (v (String.make 100 'a'));
+        Cache.add ~raw:("rb", request 'b') c "b" (v (String.make 100 'b'));
+        Cache.add ~raw:("rc", request 'c') c "c" (v (String.make 100 'c'));
+        check Alcotest.int "one eviction" 1 (Cache.stats c).Cache.evictions;
+        checkb "a gone from the raw index" (Cache.find_raw c "ra" (request 'a') = None);
+        checkb "a gone from the canonical index" (Cache.find c "a" = None);
+        checkb "b still raw" (Cache.find_raw c "rb" (request 'b') <> None);
+        checkb "c still raw" (Cache.find_raw c "rc" (request 'c') <> None);
+        check Alcotest.int "two entries" 2 (Cache.stats c).Cache.entries);
+    test "a primed raw lookup of a 15 KB body allocates under 1,000 words" (fun () ->
+        let body = String.init 15_000 (fun i -> Char.chr (32 + (i mod 90))) in
+        let opts = Api.default_options in
+        let c = Cache.create ~max_bytes:(1024 * 1024) in
+        Cache.add ~raw:(Api.raw_key Api.Lint opts body, body) c "key" (v "reply");
+        let probe = Bytes.to_string (Bytes.of_string body) in
+        let words, found =
+          allocated_words (fun () ->
+              Cache.find_raw c (Api.raw_key Api.Lint opts probe) probe)
+        in
+        checkb "hit" (found = Some ("key", v "reply"));
+        checkb (Printf.sprintf "%.0f words allocated" words) (words < 1000.));
   ]
 
 (* --- api options and cache key --------------------------------------- *)
@@ -386,6 +512,53 @@ let api_tests =
         differs "file changes the lint key" Api.Lint [ ("file", "m.xml") ];
         differs "backends change the conform key" Api.Conform [ ("backends", "seq") ];
         differs "rounds change the generate key" (Api.Generate `Java) [ ("rounds", "3") ]);
+    test "raw key: equal exactly when the cache keys are" (fun () ->
+        (* Every option the whitespace test varies, plus the bounded
+           strategies and trace, on every endpoint. *)
+        let queries =
+          [
+            [];
+            [ ("rounds", "3") ];
+            [ ("rounds", "11") ];
+            [ ("engine", "seq") ];
+            [ ("engine", "compiled") ];
+            [ ("backends", "seq") ];
+            [ ("file", "m.xml") ];
+            [ ("engine", "seq"); ("backends", "seq") ];
+            [ ("rounds", "3"); ("engine", "seq"); ("backends", "seq"); ("file", "m.xml") ];
+            [ ("strategy", "linear") ];
+            [ ("strategy", "deployment") ];
+            [ ("cpus", "2") ];
+            [ ("cpus", "3") ];
+            [ ("strategy", "linear"); ("cpus", "2") ];
+            [ ("trace", "1") ];
+          ]
+        in
+        let xmi = Lazy.force didactic_xmi in
+        let uml = U.Xmi.of_string xmi in
+        let keys =
+          List.concat_map
+            (fun e ->
+              List.map
+                (fun q ->
+                  match Api.options_of_query q with
+                  | Ok o -> (Api.cache_key e o uml, Api.raw_key e o xmi)
+                  | Error msg -> Alcotest.fail msg)
+                queries)
+            Api.all_endpoints
+        in
+        List.iter
+          (fun (canonical1, raw1) ->
+            List.iter
+              (fun (canonical2, raw2) ->
+                check Alcotest.bool
+                  (Printf.sprintf "raw keys agree with %s vs %s" canonical1 canonical2)
+                  (canonical1 = canonical2) (raw1 = raw2))
+              keys)
+          keys;
+        checkb "the body changes the raw key"
+          (Api.raw_key Api.Lint Api.default_options xmi
+          <> Api.raw_key Api.Lint Api.default_options (xmi ^ " ")));
     test "served simulate runs the compiled plan and matches the oracle" (fun () ->
         let models =
           [
@@ -571,6 +744,22 @@ let save_xmi xmi =
   Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc xmi);
   file
 
+let metrics_counter body name =
+  let needle = name ^ " " in
+  let rec scan = function
+    | [] -> None
+    | line :: rest ->
+        if String.length line > String.length needle
+           && String.sub line 0 (String.length needle) = needle
+        then
+          int_of_string_opt
+            (String.trim
+               (String.sub line (String.length needle)
+                  (String.length line - String.length needle)))
+        else scan rest
+  in
+  scan (String.split_on_char '\n' body)
+
 (* --- e2e: endpoints, parity, failure paths --------------------------- *)
 
 let e2e_tests =
@@ -727,12 +916,83 @@ let e2e_tests =
         check Alcotest.(option string) "second is a hit" (Some "hit")
           (Client.header b "x-cache");
         check Alcotest.string "identical bytes" a.Client.body b.Client.body;
+        check Alcotest.int "found by its raw bytes" 1 (Server.cache_stats s).Cache.raw_hits;
         let c = post s "/api/simulate?rounds=6" xmi in
         check Alcotest.(option string) "changed rounds misses" (Some "miss")
           (Client.header c "x-cache");
         let m = (get s "/metrics").Client.body in
         checkb "hit counted in /metrics"
           (Astring_contains.contains m "umlfront_serve_cache_hit_total 1"));
+    test "a whitespace variant hits the canonical entry with the same body" (fun () ->
+        with_server @@ fun s ->
+        let xmi = Lazy.force didactic_xmi in
+        let variant = replace_all ~sub:"\n" ~by:"\n  " xmi in
+        let a = post s "/api/lint" xmi in
+        check Alcotest.(option string) "original misses" (Some "miss")
+          (Client.header a "x-cache");
+        List.iter
+          (fun what ->
+            let b = post s "/api/lint" variant in
+            check Alcotest.(option string) (what ^ " hits") (Some "hit")
+              (Client.header b "x-cache");
+            check Alcotest.string (what ^ ": identical body") a.Client.body b.Client.body)
+          [ "the variant"; "the variant again" ];
+        (* Only the body that filled the entry is in the raw index. *)
+        let c = Server.cache_stats s in
+        check Alcotest.int "hits" 2 c.Cache.hits;
+        check Alcotest.int "none by raw bytes" 0 c.Cache.raw_hits;
+        check Alcotest.int "one entry" 1 c.Cache.entries);
+    test "a raw hit counts once and logs the miss's canonical key" (fun () ->
+        let path = Filename.temp_file "umlfront_access" ".jsonl" in
+        Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        @@ fun () ->
+        let xmi = Lazy.force didactic_xmi in
+        let variant = replace_all ~sub:"\n " ~by:"\n\t" xmi in
+        let sent = [ xmi; xmi; variant; xmi ] in
+        (with_server
+           ~config:{ Server.default_config with Server.access_log = Some path }
+        @@ fun s ->
+         let caches =
+           List.map (fun body -> Client.header (post s "/api/lint" body) "x-cache") sent
+         in
+         check
+           Alcotest.(list (option string))
+           "miss, raw hit, canonical hit, raw hit"
+           [ Some "miss"; Some "hit"; Some "hit"; Some "hit" ]
+           caches;
+         check Alcotest.int "two raw hits" 2 (Server.cache_stats s).Cache.raw_hits;
+         (* Counters are bumped after each reply is sent: wait for the
+            last request's to land. *)
+         let rec totals n =
+           let m = (get s "/metrics").Client.body in
+           let hit = metrics_counter m "umlfront_serve_cache_hit_total"
+           and miss = metrics_counter m "umlfront_serve_cache_miss_total" in
+           match (hit, miss) with
+           | Some h, Some m when h + m = List.length sent || n = 0 -> (h, m)
+           | _ ->
+               Unix.sleepf 0.01;
+               totals (n - 1)
+         in
+         let hit, miss = totals 200 in
+         check Alcotest.int "hits" 3 hit;
+         check Alcotest.int "misses" 1 miss);
+        let key = Api.cache_key Api.Lint Api.default_options (U.Xmi.of_string xmi) in
+        let models =
+          read_file path |> String.split_on_char '\n'
+          |> List.filter_map (fun line ->
+                 if line = "" then None
+                 else
+                   let doc = Json.parse_exn line in
+                   if Json.member "endpoint" doc = Some (Json.String "/api/lint") then
+                     Some (Json.member "model" doc)
+                   else None)
+        in
+        check Alcotest.int "one line per compute request" (List.length sent)
+          (List.length models);
+        List.iter
+          (fun model ->
+            checkb "model is the canonical key" (model = Some (Json.String key)))
+          models);
     test "/metrics families do not grow with the actor names executed" (fun () ->
         with_server @@ fun s ->
         let families () =
@@ -877,22 +1137,6 @@ let hammer_targets =
     "/api/generate/kpn";
     "/api/conform?backends=seq&rounds=5";
   ]
-
-let metrics_counter body name =
-  let needle = name ^ " " in
-  let rec scan = function
-    | [] -> None
-    | line :: rest ->
-        if String.length line > String.length needle
-           && String.sub line 0 (String.length needle) = needle
-        then
-          int_of_string_opt
-            (String.trim
-               (String.sub line (String.length needle)
-                  (String.length line - String.length needle)))
-        else scan rest
-  in
-  scan (String.split_on_char '\n' body)
 
 (* Sequential replay on a private server: the reference bodies and
    per-request span counts every concurrent run must reproduce. *)
@@ -1274,11 +1518,12 @@ let obs_e2e_tests =
     test "/events greets, then streams request frames" (fun () ->
         with_server @@ fun s ->
         let port = Server.port s in
-        let consumer =
-          Domain.spawn (fun () ->
-              Client.events ~max_events:3 ~timeout_s:8.0 ~port ())
-        in
-        (* Let the subscriber land, then generate traffic it will see. *)
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        @@ fun () ->
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        let head = "GET /events HTTP/1.1\r\nHost: x\r\n\r\n" in
+        ignore (Unix.write_substring fd head 0 (String.length head));
         let rec wait n =
           if Server.subscribers s = 0 && n > 0 then (
             Unix.sleepf 0.01;
@@ -1286,24 +1531,49 @@ let obs_e2e_tests =
         in
         wait 500;
         check Alcotest.int "subscriber registered" 1 (Server.subscribers s);
-        for _ = 1 to 3 do
-          ignore (get s "/healthz")
-        done;
-        let events = Domain.join consumer in
-        check Alcotest.int "three frames collected" 3 (List.length events);
+        let ids =
+          List.init 3 (fun _ ->
+              match Client.request_id (get s "/healthz") with
+              | Some id -> Json.Int (int_of_string id)
+              | None -> Alcotest.fail "no X-Request-Id")
+        in
+        (* Read until every request's frame arrived; heartbeat "window"
+           frames may come in between. *)
+        (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25 with Unix.Unix_error _ -> ());
+        let deadline = Unix.gettimeofday () +. 8.0 in
+        let stream = Buffer.create 4096 and buf = Bytes.create 4096 in
+        let rec frames ~closed =
+          let all = Buffer.contents stream in
+          let events =
+            match Astring_contains.find all "\r\n\r\n" with
+            | i when i >= 0 ->
+                Sse.feed (Sse.parser ()) (String.sub all (i + 4) (String.length all - i - 4))
+            | _ -> []
+          in
+          let requests = List.filter (fun e -> e.Sse.name = Some "request") events in
+          if closed || List.length requests >= List.length ids
+             || Unix.gettimeofday () > deadline
+          then (events, requests)
+          else
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 -> frames ~closed:true
+            | n ->
+                Buffer.add_subbytes stream buf 0 n;
+                frames ~closed
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+              ->
+                frames ~closed
+        in
+        let events, requests = frames ~closed:false in
         (match events with
         | hello :: _ ->
-            check Alcotest.(option string) "hello first" (Some "hello")
-              hello.Sse.name;
+            check Alcotest.(option string) "hello first" (Some "hello") hello.Sse.name;
             checkb "hello is JSON with the port"
-              (Json.member "port"
-                 (Json.parse_exn hello.Sse.data)
-              = Some (Json.Int port))
+              (Json.member "port" (Json.parse_exn hello.Sse.data) = Some (Json.Int port))
         | [] -> Alcotest.fail "no events");
-        checkb "request or window frames follow"
-          (List.exists
-             (fun e -> e.Sse.name = Some "request" || e.Sse.name = Some "window")
-             (List.tl events)));
+        checkb "one request frame per request, in order"
+          (List.map (fun e -> Json.member "id" (Json.parse_exn e.Sse.data)) requests
+          = List.map Option.some ids));
     test "access log is parseable JSONL written off the request path"
       (fun () ->
         let path = Filename.temp_file "umlfront_access" ".jsonl" in
