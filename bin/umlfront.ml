@@ -812,7 +812,11 @@ let serve_cmd =
     Arg.(value & opt int 8080 & info [ "port"; "p" ] ~docv:"PORT" ~doc)
   in
   let pool_arg =
-    let doc = "Worker domains handling requests (0 serves on the acceptor)." in
+    let doc =
+      "Worker domains handling requests, the daemon's only domains besides \
+       the main one, whose threads accept connections, stream /events and \
+       write the access log (0 serves on the acceptor thread)."
+    in
     Arg.(value & opt int 2 & info [ "pool" ] ~docv:"N" ~doc)
   in
   let cache_arg =

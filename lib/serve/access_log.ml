@@ -2,11 +2,14 @@
 
    [append] is a bounded-queue push under a mutex — never a syscall, so
    a slow or full disk cannot extend a request's critical section.  A
-   dedicated writer domain drains the queue in batches and does the
+   dedicated writer thread drains the queue in batches and does the
    actual [output_string]/[flush]; when the queue is full the line is
    dropped and counted ([dropped], exposed as
    umlfront_access_log_dropped_total), which is the correct failure
-   mode for telemetry: lose a log line, never stall a request. *)
+   mode for telemetry: lose a log line, never stall a request.  The
+   writer is a systhread of the domain that creates the log, not a
+   domain: it mostly waits on [cond], and a waiting domain would still
+   have to answer every stop-the-world minor collection. *)
 
 let default_queue_bound = 1024
 
@@ -17,7 +20,7 @@ type t = {
   mutable stopping : bool;
   lock : Mutex.t;
   cond : Condition.t;
-  mutable writer : unit Domain.t option;
+  mutable writer : Thread.t option;
 }
 
 let writer_loop oc q =
@@ -50,7 +53,7 @@ let create ~path =
       writer = None;
     }
   in
-  t.writer <- Some (Domain.spawn (fun () -> writer_loop oc t));
+  t.writer <- Some (Thread.create (writer_loop oc) t);
   t
 
 (* Enqueue one line (the newline is added here).  Returns false when
@@ -78,7 +81,7 @@ let dropped t =
   n
 
 (* Flush what is queued and join the writer.  Idempotent-ish: a second
-   close finds [stopping] already set and the domain already joined by
+   close finds [stopping] already set and the thread already joined by
    the first caller, so guard at the call site (Server.stop is). *)
 let close t =
   Mutex.lock t.lock;
@@ -86,7 +89,7 @@ let close t =
   Condition.signal t.cond;
   Mutex.unlock t.lock;
   match t.writer with
-  | Some d ->
+  | Some th ->
       t.writer <- None;
-      Domain.join d
+      Thread.join th
   | None -> ()

@@ -1,6 +1,9 @@
-(* The [GET /events] broadcast hub: one pump domain owns every SSE
+(* The [GET /events] broadcast hub: one pump thread owns every SSE
    subscriber socket, so the request path never writes to (or waits
-   on) a streaming peer.
+   on) a streaming peer.  The pump is a systhread of the domain that
+   creates the hub, not a domain of its own: it spends its life in
+   [select], and an idle domain would still have to answer every
+   stop-the-world minor collection of the domains doing the work.
 
    [publish] appends a pre-rendered frame to each subscriber's bounded
    outbox under the hub mutex — string append, no syscall — and, when
@@ -10,9 +13,10 @@
    heartbeat): flushes outboxes through non-blocking writes ([EAGAIN]
    keeps the bytes for later, a torn peer is closed and dropped), reads
    subscriber sockets only to notice EOF, and on every heartbeat
-   interval broadcasts the frame the [heartbeat] callback renders — a
-   fresh window snapshot, so an idle server still streams state and a
-   curl with a timeout always has something to read.
+   interval, while anyone subscribes, broadcasts the frame the
+   [heartbeat] callback renders — a fresh window snapshot, so an idle
+   server still streams state and a curl with a timeout always has
+   something to read.  With no subscriber nothing is rendered.
 
    A subscriber whose outbox is full (a consumer that stopped reading)
    loses frames, counted in [dropped] — same telemetry contract as the
@@ -34,7 +38,7 @@ type t = {
   lock : Mutex.t;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  mutable pump : unit Domain.t option;
+  mutable pump : Thread.t option;
 }
 
 let wake t =
@@ -84,7 +88,7 @@ let publish t frame =
   if !appended > 0 then wake t;
   !drops
 
-(* --- the pump domain -------------------------------------------------- *)
+(* --- the pump thread -------------------------------------------------- *)
 
 let close_sub sub = try Unix.close sub.fd with Unix.Unix_error _ -> ()
 
@@ -152,7 +156,7 @@ let pump_loop t =
     let now = Unix.gettimeofday () in
     if now >= !next_beat then begin
       next_beat := now +. t.heartbeat_s;
-      ignore (publish t (t.heartbeat ()))
+      if subscribers t > 0 then ignore (publish t (t.heartbeat ()))
     end;
     if not (Mutex.protect t.lock (fun () -> t.stopping)) then loop ()
   in
@@ -178,7 +182,7 @@ let create ?(max_subs = 32) ?(max_outbox = 256 * 1024) ?(heartbeat_s = 2.0)
       pump = None;
     }
   in
-  t.pump <- Some (Domain.spawn (fun () -> pump_loop t));
+  t.pump <- Some (Thread.create pump_loop t);
   t
 
 let stop t =
@@ -196,7 +200,7 @@ let stop t =
   | None -> ()
   | Some pump ->
       wake t;
-      (match pump with Some d -> Domain.join d | None -> ());
+      Option.iter Thread.join pump;
       let subs = Mutex.protect t.lock (fun () -> let s = t.subs in t.subs <- []; s) in
       List.iter close_sub subs;
       (try Unix.close t.wake_r with Unix.Unix_error _ -> ());

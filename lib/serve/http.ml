@@ -99,6 +99,8 @@ type decoder = {
   mutable buf : bytes;  (** bytes [start, stop) are fed but not consumed *)
   mutable start : int;
   mutable stop : int;
+  mutable scanned : int;
+      (** bytes after [start] already searched for the head's end *)
   mutable state : state;
   max_body : int;
   max_header : int;
@@ -115,6 +117,7 @@ let decoder ?(max_body = 8 * 1024 * 1024) ?(max_header = 16 * 1024) () =
     buf = Bytes.create initial_capacity;
     start = 0;
     stop = 0;
+    scanned = 0;
     state = Head;
     max_body;
     max_header;
@@ -156,6 +159,7 @@ let feed d chunk = feed_bytes d (Bytes.unsafe_of_string chunk) 0 (String.length 
    past [max_idle_capacity] is released. *)
 let skip d n =
   d.start <- d.start + n;
+  d.scanned <- 0;
   if d.start = d.stop then begin
     d.start <- 0;
     d.stop <- 0;
@@ -174,18 +178,24 @@ let lowercase_ascii = String.lowercase_ascii
 
 (* Find the end of the head: "\r\n\r\n" (CRLF) or "\n\n" (tolerated
    bare-LF, what a hand-typed netcat session produces).  Returns the
-   head's length and its terminator's. *)
+   head's length and its terminator's.  The search resumes where the
+   last one stopped, less the 3 bytes a terminator split across reads
+   may have begun in, so a head costs time linear in its length
+   however it is split. *)
 let find_head_end d =
   let n = d.stop in
   let is i c = i < n && Bytes.get d.buf i = c in
   let rec go i =
-    if i >= n then None
+    if i >= n then begin
+      d.scanned <- n - d.start;
+      None
+    end
     else if is i '\r' && is (i + 1) '\n' && is (i + 2) '\r' && is (i + 3) '\n' then
       Some (i - d.start, 4)
     else if is i '\n' && is (i + 1) '\n' then Some (i - d.start, 2)
     else go (i + 1)
   in
-  go d.start
+  go (d.start + max 0 (d.scanned - 3))
 
 let split_lines head =
   (* Head lines are CRLF- or LF-terminated; strip the trailing CR. *)

@@ -51,7 +51,11 @@ val decoder : ?max_body:int -> ?max_header:int -> unit -> decoder
     a keep-alive connection whose requests fit in it stops allocating
     for them; once a larger request has been consumed it goes back to
     4 KiB.  An idle decoder (everything fed was consumed) therefore
-    keeps at most 64 KiB. *)
+    keeps at most 64 KiB.
+
+    Time: decoding is linear in the bytes fed, however the transport
+    splits them — a head arriving one byte per read is not rescanned
+    from its start on each {!next}. *)
 
 val feed_bytes : decoder -> bytes -> int -> int -> unit
 (** [feed_bytes d buf off len] appends [len] raw bytes of [buf] from

@@ -3,15 +3,21 @@
    {!Cache} (memoization), which is what keeps this file small enough
    to audit: accept, admit, decode, dispatch, observe, reply.
 
-   Threading model: the acceptor domain owns the listening socket and
-   does admission control; each accepted connection becomes one
-   fire-and-forget pool task that handles the whole keep-alive
-   conversation.  The only cross-domain state is the cache (its own
-   mutex), the in-flight counter (atomic), the root telemetry context
-   (each sink behind its own lock) and the observability fan-out —
-   rolling window, trace store, access log and SSE hub, each behind its
-   own lock, and the latter two doing their I/O on their own domains so
-   the request path never waits on a disk or a slow stream consumer. *)
+   Threading model: only the pool's workers are domains.  The acceptor
+   is a systhread of the domain that calls [start]; it owns the
+   listening socket and does admission control, and each accepted
+   connection becomes one fire-and-forget pool task that handles the
+   whole keep-alive conversation.  The SSE pump and the access-log
+   writer are systhreads of that same domain, so they do their I/O off
+   the request path — the request path never waits on a disk or a slow
+   stream consumer.  Threads that only wait on a socket or a queue are
+   not domains because every minor collection stops every domain: an
+   idle one would still have to answer each stop-the-world request
+   while the workers wait.  The only state shared across domains is
+   the cache (its own mutex), the in-flight counter (atomic), the root
+   telemetry context (each sink behind its own lock) and the
+   observability fan-out — rolling window, trace store, access log and
+   SSE hub, each behind its own lock. *)
 
 module Obs = Umlfront_obs
 module Json = Umlfront_obs.Json
@@ -55,7 +61,7 @@ type t = {
   traces : Trace_store.t;
   hub : Events_hub.t;
   access : Access_log.t option;
-  mutable acceptor : unit Domain.t option;
+  mutable acceptor : Thread.t option;
 }
 
 let port t = t.bound_port
@@ -399,7 +405,7 @@ let endpoint_label (req : Http.request) =
 (* The post-send fan-out: lifetime metrics, rolling window, root
    journal, access log, SSE.  Everything here is an in-memory append
    under a short lock — the two sinks that do real I/O (log file, SSE
-   peers) run on their own domains and absorb or drop. *)
+   peers) run on their own threads and absorb or drop. *)
 let record_access t (req : Http.request) (rep : reply) ~request_id ~tp ~dur_us =
   let r = t.root.Obs.Context.metrics in
   let ep = endpoint_label req in
@@ -458,7 +464,7 @@ let record_access t (req : Http.request) (rep : reply) ~request_id ~tp ~dur_us =
 
 (* [/events]: write the response head and hello frame into the hub's
    outbox and hand the socket over — the conversation (and its worker
-   slot) ends here, the pump domain owns the fd from now on. *)
+   slot) ends here, the pump thread owns the fd from now on. *)
 let sse_greeting t ~request_id =
   let head =
     String.concat "\r\n"
@@ -648,7 +654,8 @@ let start ?(config = default_config) () =
       bound_port;
       root = Obs.Context.create ~trace:false ();
       cache = Cache.create ~max_bytes:(config.cache_mb * 1024 * 1024);
-      (* +1: the owner (acceptor) never helps drain, so [pool] real
+      (* +1: the pool counts its owner, this domain, whose acceptor
+         thread only submits and never helps drain, so [pool] real
          worker domains require a pool of size [pool + 1]. *)
       workers = Pool.create ~domains:(config.pool + 1) ();
       inflight_count = Atomic.make 0;
@@ -662,7 +669,7 @@ let start ?(config = default_config) () =
       acceptor = None;
     }
   in
-  t.acceptor <- Some (Domain.spawn (fun () -> accept_loop t));
+  t.acceptor <- Some (Thread.create accept_loop t);
   t
 
 let stop t =
@@ -670,7 +677,7 @@ let stop t =
     (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL
      with Unix.Unix_error _ -> ());
     (try Unix.close t.listener with Unix.Unix_error _ -> ());
-    (match t.acceptor with Some d -> Domain.join d | None -> ());
+    Option.iter Thread.join t.acceptor;
     t.acceptor <- None;
     Pool.shutdown t.workers;
     Events_hub.stop t.hub;

@@ -1,15 +1,17 @@
 (** The [umlfront serve] daemon: a long-lived, cache-keyed compilation
-    service over the whole flow, on nothing but [Unix] sockets and
-    domains.
+    service over the whole flow, on nothing but [Unix] sockets,
+    domains and threads.
 
-    One acceptor domain owns the listening socket; every accepted
-    connection is handed to the {!Umlfront_parallel.Pool} as a
-    fire-and-forget task ({!Umlfront_parallel.Pool.submit}) and handled
-    there end to end — keep-alive loop, pipelining, per-request
-    telemetry.  Admission control happens at accept time: once
-    [max_inflight] connections are in flight the server answers
-    [503 Service Unavailable] with [Retry-After] and closes, so
-    overload degrades to fast rejection, never to a hang.
+    Only the [pool] workers are domains.  An acceptor thread of the
+    domain that calls {!start} owns the listening socket; every
+    accepted connection is handed to the {!Umlfront_parallel.Pool} as
+    a fire-and-forget task ({!Umlfront_parallel.Pool.submit}) and
+    handled there end to end — keep-alive loop, pipelining,
+    per-request telemetry.  With [pool = 0] the acceptor thread serves
+    each connection itself.  Admission control happens at accept
+    time: once [max_inflight] connections are in flight the server
+    answers [503 Service Unavailable] with [Retry-After] and closes,
+    so overload degrades to fast rejection, never to a hang.
 
     Endpoints:
     - [POST /api/lint], [/api/transform], [/api/simulate],
@@ -26,7 +28,8 @@
       request ID (kept when the request said [?trace=1] or fell in
       [trace_sample]);
     - [GET /events] — an SSE stream of request events and window
-      snapshots (the heartbeat), served by a dedicated pump domain;
+      snapshots (the heartbeat, sent only while someone subscribes),
+      served by a pump thread of the domain that called {!start};
     - [GET /dashboard] — a self-contained live HTML view over
       [/events].
 
@@ -34,8 +37,8 @@
     trace ([traceparent] echoed in the response), lands in the rolling
     window and the root journal ([serve.access] entries), and — when
     [access_log] is set — is appended as one JSON line by a writer
-    domain that never blocks the request path (full queue = dropped
-    line + [umlfront_access_log_dropped_total]).
+    thread of that same domain, which never blocks the request path
+    (full queue = dropped line + [umlfront_access_log_dropped_total]).
 
     Each cache miss runs on a {!Umlfront_obs.Context.fork} of the
     server's root context: its own span buffer and metrics registry
@@ -71,16 +74,21 @@ val default_config : config
 type t
 
 val start : ?config:config -> unit -> t
-(** Bind [127.0.0.1], spawn the pool and the acceptor domain, return
-    once the socket is listening (so a client may connect
-    immediately). *)
+(** Bind [127.0.0.1], spawn the pool's [pool] worker domains, start
+    the acceptor, SSE pump and (with [access_log]) log-writer threads
+    in the calling domain, and return once the socket is listening (so
+    a client may connect immediately).  Those threads share the
+    calling domain with its other threads, so the caller should wait
+    (as [umlfront serve] does) rather than compute while it serves. *)
 
 val port : t -> int
 (** The bound port — the ephemeral one when [config.port = 0]. *)
 
 val stop : t -> unit
-(** Close the listener, join the acceptor, drain and join the pool.
-    Idempotent.  In-flight requests finish; no new ones are accepted. *)
+(** Close the listener, join the acceptor thread, drain and join the
+    pool, then stop and join the SSE pump (closing any [/events]
+    subscriber, idle or not) and the log writer.  Idempotent.
+    In-flight requests finish; no new ones are accepted. *)
 
 val root : t -> Umlfront_obs.Context.t
 (** The server's root telemetry context — every request's journal

@@ -2,8 +2,10 @@
    compilation service.
 
    Layers under test, inside out:
-   - Sha256: FIPS 180-4 vectors (the cache key depends on it);
-   - Http: the incremental codec — torn 1-byte reads, pipelining,
+   - Sha256: FIPS 180-4 vectors and every padding edge (the cache key
+     depends on it), and what a digest allocates;
+   - Http: the incremental codec — torn 1-byte reads, a head fed one
+     byte per read in linear time, split terminators, pipelining,
      missing/duplicate Content-Length, header case-insensitivity, what
      decoding and encoding allocate, and the response serializer pinned
      byte-for-byte against a golden;
@@ -115,7 +117,33 @@ let sha256_tests =
            for the length word. *)
         checkb "55 <> 56 digests"
           (Sha256.hex (String.make 55 'x') <> Sha256.hex (String.make 56 'x'));
-        check Alcotest.int "hex length" 64 (String.length (Sha256.hex "x")));
+        check Alcotest.int "hex length" 64 (String.length (Sha256.hex "x"));
+        (* Every padding edge, pinned against sha256sum: a tail of up
+           to 55 bytes past the last whole block pads to one block, one
+           of 56 to 63 bytes to two; 64 and 120 bytes leave an empty
+           tail and a 56-byte one. *)
+        List.iter
+          (fun (n, want) ->
+            check Alcotest.string
+              (Printf.sprintf "%d x 'a'" n)
+              want
+              (Sha256.hex (String.make n 'a')))
+          [
+            (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
+            (56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a");
+            (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34");
+            (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
+            (65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0");
+            (119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb");
+            (120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c");
+          ]);
+    test "hashing 16 KB allocates under 1,000 words" (fun () ->
+        (* Every cache miss keys its model with one digest; on boxed
+           int32 words a 16 KB digest allocated 82K words. *)
+        let msg = String.init 16_384 (fun i -> Char.chr (i land 0xff)) in
+        let words, digest = allocated_words (fun () -> Sha256.hex msg) in
+        check Alcotest.int "hex length" 64 (String.length digest);
+        checkb (Printf.sprintf "%.0f words allocated" words) (words < 1000.));
   ]
 
 (* --- http codec ------------------------------------------------------ *)
@@ -236,8 +264,8 @@ let http_tests =
         let reads = List.init (size / read) (fun i -> String.sub body (i * read) read) in
         let d = Http.decoder () in
         Http.feed d (Printf.sprintf "POST /x HTTP/1.1\r\nContent-Length: %d\r\n\r\n" size);
-        let before = Gc.allocated_bytes () in
-        let decoded =
+        let words, decoded =
+          allocated_words @@ fun () ->
           List.filter_map
             (fun chunk ->
               Http.feed d chunk;
@@ -247,7 +275,7 @@ let http_tests =
               | `Error e -> failwith (Http.error_message e))
             reads
         in
-        let allocated = Gc.allocated_bytes () -. before in
+        let allocated = words *. word_bytes in
         checkb "one request with the whole body" (decoded = [ body ]);
         checkb
           (Printf.sprintf "%.0f bytes allocated for a %d-byte body" allocated size)
@@ -320,6 +348,49 @@ let http_tests =
             ~date:"Sun, 09 Aug 2026 12:00:00 GMT" ~status:200 "{\"ok\":true}\n"
         in
         check Alcotest.string "golden bytes" (read_file "golden/http.response.txt") got);
+    test "a head fed one byte per read decodes in linear time" (fun () ->
+        (* 16,218 bytes, just under the 16 KiB max_header: rescanning the
+           buffered head on every next took about a second. *)
+        let prefix = "GET /dribble HTTP/1.1\r\nX-Filler: " in
+        let raw =
+          prefix ^ String.make (16_218 - String.length prefix - 4) 'f' ^ "\r\n\r\n"
+        in
+        check Alcotest.int "head length" 16_218 (String.length raw);
+        let d = Http.decoder () in
+        let requests = ref 0 in
+        let t0 = Unix.gettimeofday () in
+        String.iter
+          (fun c ->
+            Http.feed d (String.make 1 c);
+            match Http.next d with
+            | `Request _ -> incr requests
+            | `Await -> ()
+            | `Error e -> failwith (Http.error_message e))
+          raw;
+        let elapsed = Unix.gettimeofday () -. t0 in
+        check Alcotest.int "one request" 1 !requests;
+        checkb
+          (Printf.sprintf "decoded in %.1f ms" (elapsed *. 1e3))
+          (elapsed < 0.1));
+    test "a terminator split across reads still ends the head" (fun () ->
+        List.iter
+          (fun (eol, first, second) ->
+            let label = Printf.sprintf "%S | %S" first second in
+            let d = Http.decoder () in
+            Http.feed d ("GET /split HTTP/1.1" ^ eol ^ "Host: x" ^ first);
+            (match Http.next d with
+            | `Await -> ()
+            | _ -> Alcotest.failf "%s: the head ended before its terminator" label);
+            Http.feed d second;
+            match Http.next d with
+            | `Request r -> check Alcotest.string label "/split" r.Http.path
+            | _ -> Alcotest.failf "%s: the terminator did not end the head" label)
+          [
+            ("\r\n", "\r", "\n\r\n");
+            ("\r\n", "\r\n", "\r\n");
+            ("\r\n", "\r\n\r", "\n");
+            ("\n", "\n", "\n");
+          ]);
   ]
 
 (* --- cache ----------------------------------------------------------- *)
@@ -1391,6 +1462,33 @@ let events_hub_delivery_and_drops () =
     (Events_hub.publish hub (Sse.frame (String.make 100 'x')));
   check Alcotest.int "drop counted" 1 (Events_hub.dropped hub)
 
+(* The heartbeat is rendered only for someone to read it: an idle hub
+   renders nothing on its interval, a subscribed one streams. *)
+let events_hub_heartbeat_needs_a_subscriber () =
+  let renders = Atomic.make 0 in
+  let hub =
+    Events_hub.create ~heartbeat_s:0.01
+      ~heartbeat:(fun () ->
+        Atomic.incr renders;
+        Sse.comment "hb")
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Events_hub.stop hub)
+  @@ fun () ->
+  Unix.sleepf 0.2;
+  check Alcotest.int "no heartbeat rendered without a subscriber" 0
+    (Atomic.get renders);
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close b with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  checkb "subscribed" (Events_hub.subscribe hub a ~greeting:"");
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while Atomic.get renders = 0 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  checkb "a heartbeat rendered for the subscriber" (Atomic.get renders >= 1)
+
 let obs_unit_tests =
   [
     test "sse framing" sse_framing;
@@ -1398,6 +1496,8 @@ let obs_unit_tests =
     test "traceparent parse is strict" traceparent_parse_strictness;
     traceparent_roundtrip_prop;
     test "events hub delivers and drops without blocking" events_hub_delivery_and_drops;
+    test "events hub renders no heartbeat without a subscriber"
+      events_hub_heartbeat_needs_a_subscriber;
   ]
 
 (* --- observability end to end ---------------------------------------- *)
