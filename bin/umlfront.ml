@@ -18,7 +18,6 @@
      umlfront fuzz --seed 42 --count 50      conformance-fuzz random models
      umlfront journal model.xml              replay the run journal as JSON Lines
      umlfront bench-diff BASE NEW            perf regression gate over BENCH_*.json
-     umlfront top 8080                       live rolling view of a serve daemon
 
    Any subcommand accepts a global `--profile FILE.json`: the run is
    traced (spans per flow phase, parser/executor metrics) and a Chrome
@@ -814,8 +813,8 @@ let serve_cmd =
   let pool_arg =
     let doc =
       "Worker domains handling requests, the daemon's only domains besides \
-       the main one, whose threads accept connections, stream /events and \
-       write the access log (0 serves on the acceptor thread)."
+       the main one, whose threads accept connections and write the access \
+       log (0 serves on the acceptor thread)."
     in
     Arg.(value & opt int 2 & info [ "pool" ] ~docv:"N" ~doc)
   in
@@ -856,153 +855,10 @@ let serve_cmd =
       "Long-lived compilation service: the whole flow as JSON-over-HTTP \
        endpoints (/api/lint, /api/transform, /api/simulate, /api/conform, \
        /api/generate/{c,java,kpn}) with a content-hash response cache, \
-       admission control, OpenMetrics telemetry on /metrics, an SSE event \
-       stream on /events and a live dashboard on /dashboard"
+       admission control and OpenMetrics telemetry on /metrics"
     Term.(
       const action $ port_arg $ pool_arg $ cache_arg $ inflight_arg $ timeout_arg
       $ access_log_arg $ trace_sample_arg)
-
-(* `umlfront top SERVER`: poll /healthz + /api/windows + /metrics and
-   render a refreshing per-endpoint table — the terminal twin of the
-   /dashboard page, built on the same rolling window. *)
-let top_cmd =
-  let module Client = Umlfront_serve.Serve_client in
-  let module Json = Obs.Json in
-  (* SERVER spellings: "8080", "127.0.0.1:8080", "http://127.0.0.1:8080/". *)
-  let parse_server s =
-    let s =
-      match String.index_opt s '/' with
-      | Some _ when String.length s > 7 && String.sub s 0 7 = "http://" ->
-          let rest = String.sub s 7 (String.length s - 7) in
-          (match String.index_opt rest '/' with
-          | Some i -> String.sub rest 0 i
-          | None -> rest)
-      | _ -> s
-    in
-    let port_part =
-      match String.rindex_opt s ':' with
-      | Some i -> String.sub s (i + 1) (String.length s - i - 1)
-      | None -> s
-    in
-    match int_of_string_opt port_part with
-    | Some p when p > 0 && p < 65536 -> p
-    | _ -> failwith (Printf.sprintf "top: cannot parse server %S (want PORT, HOST:PORT or a http://127.0.0.1:PORT URL)" s)
-  in
-  let metric_value body name =
-    List.find_map
-      (fun line ->
-        match String.index_opt line ' ' with
-        | Some i when String.sub line 0 i = name ->
-            float_of_string_opt
-              (String.sub line (i + 1) (String.length line - i - 1))
-        | _ -> None)
-      (String.split_on_char '\n' body)
-  in
-  let cell v d =
-    if Float.is_nan v then "-" else Printf.sprintf "%.*f" d v
-  in
-  let render port =
-    let health = Json.parse (Client.healthz ~port).Client.body in
-    let windows = Json.parse (Client.windows ~port).Client.body in
-    let metrics = (Client.metrics ~port).Client.body in
-    let num path json =
-      match Option.bind (Json.member path json) Json.number with
-      | Some v -> v
-      | None -> Float.nan
-    in
-    let buf = Buffer.create 1024 in
-    let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    (match health with
-    | Ok h ->
-        out "umlfront top - 127.0.0.1:%d  uptime %ss  inflight %s  requests %s  pool %s\n"
-          port
-          (cell (num "uptime_s" h) 1)
-          (cell (num "inflight" h) 0)
-          (cell (num "requests" h) 0)
-          (cell (num "pool" h) 0)
-    | Error e -> out "umlfront top - 127.0.0.1:%d  (healthz unreadable: %s)\n" port e);
-    (match
-       ( metric_value metrics "umlfront_serve_cache_hit_total",
-         metric_value metrics "umlfront_serve_cache_miss_total" )
-     with
-    | Some h, Some m -> out "cache: %.0f hit / %.0f miss\n" h m
-    | _ -> ());
-    out "\n  %-16s %10s %10s %10s %12s %12s %12s\n" "endpoint" "req/s 10s"
-      "req/s 1m" "req/s 5m" "p50 ms 1m" "p95 ms 1m" "p99 ms 1m";
-    (match windows with
-    | Error e -> out "  (windows unreadable: %s)\n" e
-    | Ok w ->
-        let window_list = Json.items (Option.value ~default:(Json.List []) (Json.member "windows" w)) in
-        let series_of idx =
-          match List.nth_opt window_list idx with
-          | Some wj -> (
-              match Json.member "series" wj with
-              | Some (Json.Obj fields) -> fields
-              | _ -> [])
-          | None -> []
-        in
-        let s10 = series_of 0 and s60 = series_of 1 and s300 = series_of 2 in
-        let names =
-          List.sort_uniq String.compare
-            (List.concat_map (List.map fst) [ s10; s60; s300 ])
-        in
-        let field series name key =
-          match List.assoc_opt name series with
-          | Some s -> (
-              match Option.bind (Json.member key s) Json.number with
-              | Some v -> v
-              | None -> Float.nan)
-          | None -> Float.nan
-        in
-        if names = [] then out "  (no traffic in the last 5 minutes)\n"
-        else
-          List.iter
-            (fun name ->
-              out "  %-16s %10s %10s %10s %12s %12s %12s\n" name
-                (cell (field s10 name "rate") 2)
-                (cell (field s60 name "rate") 2)
-                (cell (field s300 name "rate") 2)
-                (cell (field s60 name "p50" /. 1000.) 2)
-                (cell (field s60 name "p95" /. 1000.) 2)
-                (cell (field s60 name "p99" /. 1000.) 2))
-            names);
-    Buffer.contents buf
-  in
-  let action server interval iterations () =
-    let port = parse_server server in
-    let rec loop i =
-      if iterations = 0 || i < iterations then begin
-        let frame = render port in
-        if i > 0 || iterations <> 1 then print_string "\027[2J\027[H";
-        print_string frame;
-        flush stdout;
-        if iterations = 0 || i + 1 < iterations then begin
-          (try Unix.sleepf interval
-           with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          loop (i + 1)
-        end
-      end
-    in
-    loop 0
-  in
-  let server_arg =
-    let doc = "Server to watch: PORT, HOST:PORT or a http:// URL." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SERVER" ~doc)
-  in
-  let interval_arg =
-    let doc = "Refresh interval in seconds." in
-    Arg.(value & opt float 2. & info [ "interval"; "i" ] ~docv:"SECONDS" ~doc)
-  in
-  let iterations_arg =
-    let doc = "Stop after $(docv) refreshes (0 = run until interrupted)." in
-    Arg.(value & opt int 0 & info [ "iterations"; "n" ] ~docv:"N" ~doc)
-  in
-  command "top"
-    ~doc:
-      "Live view of a running umlfront serve: rolling per-endpoint req/s \
-       and latency quantiles (10s/1m/5m windows) polled from /api/windows \
-       and /metrics, refreshed in place"
-    Term.(const action $ server_arg $ interval_arg $ iterations_arg)
 
 let fuzz_cmd =
   let module Fuzz = Umlfront_conformance.Fuzz in
@@ -1141,5 +997,5 @@ let () =
             map_cmd; allocate_cmd; simulate_cmd; codegen_cmd; fsm_cmd; dse_cmd;
             partition_cmd; capture_cmd; example_cmd; audit_cmd; cosim_cmd;
             plantuml_cmd; report_cmd; stats_cmd; journal_cmd; bench_diff_cmd;
-            lint_cmd; conform_cmd; fuzz_cmd; serve_cmd; top_cmd;
+            lint_cmd; conform_cmd; fuzz_cmd; serve_cmd;
           ]))

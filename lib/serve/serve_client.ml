@@ -118,70 +118,5 @@ let post ?headers ~port target body = request ?headers ~body ~port ~meth:"POST" 
 let request_id r = header r "x-request-id"
 let traceparent r = header r "traceparent"
 
-let metrics ~port = get ~port "/metrics"
-let windows ~port = get ~port "/api/windows"
-let dashboard ~port = get ~port "/dashboard"
 let trace ~port id = get ~port ("/api/trace/" ^ id)
 let healthz ~port = get ~port "/healthz"
-
-(* [/events] never ends on its own, so the one-shot [request] helper
-   does not fit: stream on a raw socket with a receive timeout, feed
-   the shared {!Sse} parser, and stop at [max_events] frames or
-   [timeout_s] seconds, whichever comes first. *)
-let events ?(max_events = 3) ?(timeout_s = 5.0) ~port () =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25
-       with Unix.Unix_error _ -> ());
-      let head =
-        "GET /events HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n"
-      in
-      write_all fd head 0 (String.length head);
-      let deadline = Unix.gettimeofday () +. timeout_s in
-      let parser = Sse.parser () in
-      let buf = Bytes.create 8192 in
-      let collected = ref [] in
-      let in_body = ref false in
-      let pending_head = Buffer.create 256 in
-      let rec loop () =
-        if List.length !collected >= max_events then ()
-        else if Unix.gettimeofday () > deadline then ()
-        else
-          match Unix.read fd buf 0 (Bytes.length buf) with
-          | 0 -> ()
-          | n ->
-              let chunk = Bytes.sub_string buf 0 n in
-              let payload =
-                if !in_body then chunk
-                else begin
-                  Buffer.add_string pending_head chunk;
-                  let all = Buffer.contents pending_head in
-                  match
-                    let rec find i =
-                      if i + 3 >= String.length all then None
-                      else if String.sub all i 4 = "\r\n\r\n" then Some (i + 4)
-                      else find (i + 1)
-                    in
-                    find 0
-                  with
-                  | Some body_start ->
-                      in_body := true;
-                      String.sub all body_start (String.length all - body_start)
-                  | None -> ""
-                end
-              in
-              collected := !collected @ Sse.feed parser payload;
-              loop ()
-          | exception
-              Unix.Unix_error
-                ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-              loop ()
-      in
-      loop ();
-      let events = !collected in
-      if List.length events > max_events then
-        List.filteri (fun i _ -> i < max_events) events
-      else events)

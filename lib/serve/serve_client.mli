@@ -1,5 +1,5 @@
 (** A minimal in-repo HTTP client for [umlfront serve] — the test
-    suite's and the bench's view of the server, over the loopback.
+    suite's view of the server, over the loopback.
 
     Deliberately boring: one request per connection ([Connection:
     close] is always sent), blocking reads to EOF, no TLS, no
@@ -39,17 +39,8 @@ val request_id : response -> string option
 val traceparent : response -> string option
 (** The W3C [traceparent] echoed by the server. *)
 
-val metrics : port:int -> response
-val windows : port:int -> response
-val dashboard : port:int -> response
 val healthz : port:int -> response
 
 val trace : port:int -> string -> response
 (** [trace ~port id] fetches [GET /api/trace/id] — the retained
     Chrome-trace JSON of a sampled or [?trace=1] request. *)
-
-val events :
-  ?max_events:int -> ?timeout_s:float -> port:int -> unit -> Sse.event list
-(** Stream [GET /events] until [max_events] frames (default 3) arrived
-    or [timeout_s] (default 5) elapsed — whichever is first.  Heartbeat
-    "window" frames count, so an idle server still answers. *)

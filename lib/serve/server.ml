@@ -7,17 +7,16 @@
    is a systhread of the domain that calls [start]; it owns the
    listening socket and does admission control, and each accepted
    connection becomes one fire-and-forget pool task that handles the
-   whole keep-alive conversation.  The SSE pump and the access-log
-   writer are systhreads of that same domain, so they do their I/O off
-   the request path — the request path never waits on a disk or a slow
-   stream consumer.  Threads that only wait on a socket or a queue are
-   not domains because every minor collection stops every domain: an
-   idle one would still have to answer each stop-the-world request
-   while the workers wait.  The only state shared across domains is
-   the cache (its own mutex), the in-flight counter (atomic), the root
-   telemetry context (each sink behind its own lock) and the
-   observability fan-out — rolling window, trace store, access log and
-   SSE hub, each behind its own lock. *)
+   whole keep-alive conversation.  The access-log writer is a
+   systhread of that same domain, so it does its I/O off the request
+   path — the request path never waits on a disk.  Threads that only
+   wait on a socket or a queue are not domains because every minor
+   collection stops every domain: an idle one would still have to
+   answer each stop-the-world request while the workers wait.  The
+   only state shared across domains is the cache (its own mutex), the
+   in-flight counter (atomic), the table of open connections (its own
+   mutex), the root telemetry context (each sink behind its own lock),
+   the trace store and the access log, each behind its own lock. *)
 
 module Obs = Umlfront_obs
 module Json = Umlfront_obs.Json
@@ -57,10 +56,12 @@ type t = {
   request_count : int Atomic.t;
   stopping : bool Atomic.t;
   started_at : float;
-  window : Obs.Window.t;
   traces : Trace_store.t;
-  hub : Events_hub.t;
   access : Access_log.t option;
+  (* The fds of the connections being served, so that [stop] can wake
+     a worker blocked reading an idle keep-alive connection. *)
+  conns : (Unix.file_descr, unit) Hashtbl.t;
+  conns_lock : Mutex.t;
   mutable acceptor : Thread.t option;
 }
 
@@ -68,9 +69,6 @@ let port t = t.bound_port
 let root t = t.root
 let cache_stats t = Cache.stats t.cache
 let inflight t = Atomic.get t.inflight_count
-let window t = t.window
-let subscribers t = Events_hub.subscribers t.hub
-let events_dropped t = Events_hub.dropped t.hub
 let access_log_dropped t =
   match t.access with Some log -> Access_log.dropped log | None -> 0
 
@@ -142,17 +140,6 @@ let reply ?(headers = []) ?(cache = "-") ?(spans = 0) ?model
 let reply_error status message =
   let status, ct, body = json_error status message in
   reply status ct body
-
-let observe_request t ~endpoint ~status ~cache_state ~dur_us =
-  let r = t.root.Obs.Context.metrics in
-  Obs.Metrics.incr ~registry:r "serve.requests";
-  Obs.Metrics.incr ~registry:r (Printf.sprintf "serve.status.%dxx" (status / 100));
-  Obs.Metrics.incr ~registry:r ("serve.endpoint." ^ endpoint);
-  (match cache_state with
-  | Some true -> Obs.Metrics.incr ~registry:r "serve.cache.hit"
-  | Some false -> Obs.Metrics.incr ~registry:r "serve.cache.miss"
-  | None -> ());
-  Obs.Metrics.observe ~registry:r "serve.request_us" dur_us
 
 (* Deterministic sampling on the request counter: rate 0.25 keeps every
    request whose id falls in the first quarter of each block of 1000.
@@ -298,35 +285,9 @@ let metrics_body t =
   Obs.Metrics.set_gauge ~registry:r "serve.cache.bytes" (float_of_int c.Cache.bytes);
   Obs.Metrics.set_gauge ~registry:r "serve.inflight"
     (float_of_int (Atomic.get t.inflight_count));
-  Obs.Metrics.set_gauge ~registry:r "serve.events.subscribers"
-    (float_of_int (Events_hub.subscribers t.hub));
-  (* The drop counters must exist from the first scrape, not from the
+  (* The drop counter must exist from the first scrape, not from the
      first drop. *)
   Obs.Metrics.incr ~registry:r ~by:0 "access_log.dropped";
-  Obs.Metrics.incr ~registry:r ~by:0 "serve.events.dropped";
-  (* Rolling per-endpoint series out of the window, as labeled gauges:
-     the "right now" view next to the lifetime counters. *)
-  List.iter
-    (fun window_s ->
-      let wlabel = Printf.sprintf "%gs" window_s in
-      List.iter
-        (fun name ->
-          let labels = [ ("endpoint", name); ("window", wlabel) ] in
-          Obs.Metrics.set_gauge ~registry:r
-            (Obs.Openmetrics.labeled "serve.rolling.req_per_s" labels)
-            (Obs.Window.rate t.window ~window_s name);
-          let q = Obs.Window.quantiles t.window ~window_s name in
-          Obs.Metrics.set_gauge ~registry:r
-            (Obs.Openmetrics.labeled "serve.rolling.p50_us" labels)
-            q.Obs.Window.q_p50;
-          Obs.Metrics.set_gauge ~registry:r
-            (Obs.Openmetrics.labeled "serve.rolling.p95_us" labels)
-            q.Obs.Window.q_p95;
-          Obs.Metrics.set_gauge ~registry:r
-            (Obs.Openmetrics.labeled "serve.rolling.p99_us" labels)
-            q.Obs.Window.q_p99)
-        (Obs.Window.names t.window ~window_s:(Obs.Window.max_window_s t.window)))
-    Obs.Window.default_windows;
   Obs.Openmetrics.render (Obs.Metrics.snapshot ~registry:r ())
 
 let journal_body t =
@@ -351,8 +312,7 @@ let method_not_allowed allow =
 
 let trace_route = "/api/trace/"
 
-(* Route one decoded request to a reply.  [/events] never reaches this
-   point — the conversation loop hands it to the hub. *)
+(* Route one decoded request to a reply. *)
 let handle t ~request_id ~trace_id (req : Http.request) =
   match Api.endpoint_of_path req.Http.path with
   | Some endpoint ->
@@ -365,10 +325,6 @@ let handle t ~request_id ~trace_id (req : Http.request) =
           reply 200 "application/openmetrics-text; version=1.0.0; charset=utf-8"
             (metrics_body t)
       | "GET", "/journal" -> reply 200 "application/json" (journal_body t)
-      | "GET", "/dashboard" -> reply 200 "text/html; charset=utf-8" (Dashboard.page ())
-      | "GET", "/api/windows" ->
-          reply 200 "application/json"
-            (Json.to_string (Obs.Window.to_json t.window) ^ "\n")
       | "GET", path when String.starts_with ~prefix:trace_route path -> (
           let id =
             String.sub path (String.length trace_route)
@@ -377,9 +333,7 @@ let handle t ~request_id ~trace_id (req : Http.request) =
           match Trace_store.find t.traces id with
           | Some payload -> reply 200 "application/json" (payload ^ "\n")
           | None -> reply_error 404 ("no retained trace for request " ^ id))
-      | _, ("/healthz" | "/metrics" | "/journal" | "/dashboard" | "/api/windows")
-        ->
-          method_not_allowed "GET"
+      | _, ("/healthz" | "/metrics" | "/journal") -> method_not_allowed "GET"
       | _, path when String.starts_with ~prefix:trace_route path ->
           method_not_allowed "GET"
       | ("GET" | "HEAD" | "POST"), _ -> reply_error 404 "no such route"
@@ -387,45 +341,33 @@ let handle t ~request_id ~trace_id (req : Http.request) =
           let status, ct, body = json_error 405 "method not allowed" in
           reply ~headers:[ ("Allow", "GET, POST") ] status ct body)
 
-(* Endpoint label for window series, access entries and labeled
-   counters: the request path for known routes, "other" for noise —
-   labels must stay low-cardinality, so the raw path of a 404 never
-   becomes one. *)
+(* Endpoint label for access entries and labeled counters: the request
+   path for known routes, "other" for noise — labels must stay
+   low-cardinality, so the raw path of a 404 never becomes one. *)
 let endpoint_label (req : Http.request) =
   match Api.endpoint_of_path req.Http.path with
   | Some e -> "/api/" ^ Api.endpoint_name e
   | None -> (
       match req.Http.path with
-      | ("/healthz" | "/metrics" | "/journal" | "/dashboard" | "/api/windows"
-        | "/events") as p ->
-          p
+      | ("/healthz" | "/metrics" | "/journal") as p -> p
       | p when String.starts_with ~prefix:trace_route p -> "/api/trace"
       | _ -> "other")
 
-(* The post-send fan-out: lifetime metrics, rolling window, root
-   journal, access log, SSE.  Everything here is an in-memory append
-   under a short lock — the two sinks that do real I/O (log file, SSE
-   peers) run on their own threads and absorb or drop. *)
+(* The post-send fan-out: lifetime metrics, root journal, access log.
+   Everything here is an in-memory append under a short lock — the log
+   file is written by its own thread, which absorbs or drops. *)
 let record_access t (req : Http.request) (rep : reply) ~request_id ~tp ~dur_us =
   let r = t.root.Obs.Context.metrics in
   let ep = endpoint_label req in
-  observe_request t
-    ~endpoint:
-      (match Api.endpoint_of_path req.Http.path with
-      | Some e -> Api.endpoint_name e
-      | None -> "other")
-    ~status:rep.r_status
-    ~cache_state:
-      (match rep.r_cache with
-      | "hit" -> Some true
-      | "miss" -> Some false
-      | _ -> None)
-    ~dur_us;
+  Obs.Metrics.incr ~registry:r "serve.requests";
   Obs.Metrics.incr ~registry:r
     (Obs.Openmetrics.labeled "serve.requests"
        [ ("endpoint", ep); ("status", string_of_int rep.r_status) ]);
-  Obs.Window.add t.window ep;
-  Obs.Window.observe t.window ep dur_us;
+  (match rep.r_cache with
+  | "hit" -> Obs.Metrics.incr ~registry:r "serve.cache.hit"
+  | "miss" -> Obs.Metrics.incr ~registry:r "serve.cache.miss"
+  | _ -> ());
+  Obs.Metrics.observe ~registry:r "serve.request_us" dur_us;
   let fields =
     [
       ("id", Json.Int request_id);
@@ -445,7 +387,7 @@ let record_access t (req : Http.request) (rep : reply) ~request_id ~tp ~dur_us =
     | None -> []
   in
   Obs.Journal.record_in t.root.Obs.Context.journal ~fields "serve.access";
-  (match t.access with
+  match t.access with
   | Some log ->
       let line =
         Json.to_string
@@ -453,48 +395,12 @@ let record_access t (req : Http.request) (rep : reply) ~request_id ~tp ~dur_us =
       in
       if not (Access_log.append log line) then
         Obs.Metrics.incr ~registry:r "access_log.dropped"
-  | None -> ());
-  (* Render the frame only for someone to read it. *)
-  if Events_hub.subscribers t.hub > 0 then
-    let drops =
-      Events_hub.publish t.hub
-        (Sse.frame ~name:"request" (Json.to_string (Json.Obj fields)))
-    in
-    if drops > 0 then Obs.Metrics.incr ~registry:r ~by:drops "serve.events.dropped"
-
-(* [/events]: write the response head and hello frame into the hub's
-   outbox and hand the socket over — the conversation (and its worker
-   slot) ends here, the pump thread owns the fd from now on. *)
-let sse_greeting t ~request_id =
-  let head =
-    String.concat "\r\n"
-      [
-        "HTTP/1.1 200 OK";
-        "Server: umlfront/1.0";
-        "Content-Type: text/event-stream";
-        "Cache-Control: no-cache";
-        "X-Request-Id: " ^ string_of_int request_id;
-        "Connection: close";
-        "";
-        "";
-      ]
-  in
-  let hello =
-    Json.to_string
-      (Json.Obj
-         [
-           ("server", Json.String "umlfront");
-           ("port", Json.Int t.bound_port);
-           ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started_at));
-         ])
-  in
-  head ^ Sse.frame ~name:"hello" hello
+  | None -> ()
 
 (* The whole conversation on one accepted connection: decode (with
    pipelining — a second buffered request surfaces on the next [next]),
    dispatch, reply, loop while keep-alive.  A codec error is terminal
-   for the connection: framing is lost, answer once and close.
-   Returns [`Hijacked] when the fd now belongs to the events hub. *)
+   for the connection: framing is lost, answer once and close. *)
 let conversation t fd =
   let dec = Http.decoder ~max_body:t.config.max_body () in
   let buf = Bytes.create 8192 in
@@ -510,68 +416,64 @@ let conversation t fd =
           | Some inbound -> Traceparent.child inbound
           | None -> Traceparent.generate ()
         in
-        if req.Http.meth = "GET" && req.Http.path = "/events" then
-          if Events_hub.subscribe t.hub fd ~greeting:(sse_greeting t ~request_id)
-          then `Hijacked
-          else begin
-            Obs.Metrics.incr ~registry:t.root.Obs.Context.metrics
-              "serve.events.rejected";
-            send fd
-              (Http.response
-                 ~headers:[ ("Retry-After", "1") ]
-                 ~close:true ~status:503 overload_body);
-            `Done
-          end
-        else begin
-          let rep = handle t ~request_id ~trace_id:tp.Traceparent.trace_id req in
-          let close = Atomic.get t.stopping || not (Http.keep_alive req) in
-          send fd
-            (Http.response
-               ~headers:
-                 (rep.r_headers
-                 @ [
-                     ("X-Request-Id", string_of_int request_id);
-                     ("traceparent", Traceparent.to_string tp);
-                   ])
-               ~content_type:rep.r_content_type ~close ~status:rep.r_status
-               rep.r_body);
-          record_access t req rep ~request_id ~tp
-            ~dur_us:((Unix.gettimeofday () -. t0) *. 1e6);
-          if close then `Done else loop ()
-        end
+        let rep = handle t ~request_id ~trace_id:tp.Traceparent.trace_id req in
+        let close = Atomic.get t.stopping || not (Http.keep_alive req) in
+        send fd
+          (Http.response
+             ~headers:
+               (rep.r_headers
+               @ [
+                   ("X-Request-Id", string_of_int request_id);
+                   ("traceparent", Traceparent.to_string tp);
+                 ])
+             ~content_type:rep.r_content_type ~close ~status:rep.r_status
+             rep.r_body);
+        record_access t req rep ~request_id ~tp
+          ~dur_us:((Unix.gettimeofday () -. t0) *. 1e6);
+        if not close then loop ()
     | `Error e ->
         let status = Http.error_status e in
         let _, content_type, body = json_error status (Http.error_message e) in
-        send fd (Http.response ~content_type ~close:true ~status body);
-        `Done
+        send fd (Http.response ~content_type ~close:true ~status body)
     | `Await -> (
         match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> `Done (* peer closed *)
+        | 0 -> () (* peer closed, or [stop] shut the read side *)
         | n ->
             Http.feed_bytes dec buf 0 n;
             loop ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
         | exception
             Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            (* idle past the read timeout *)
-            `Done)
+            () (* idle past the read timeout *))
   in
   loop ()
 
+(* Shutting the read side wakes a worker blocked reading [fd] with end
+   of file.  Bytes already received stay readable and the write side
+   stays open, so a request in flight still gets its reply. *)
+let shutdown_read fd =
+  try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()
+
 let handle_connection t fd =
-  let hijacked = ref false in
+  (* Registered before the conversation, so that [stop] can wake it; a
+     connection that starts after [stop] swept the table sees
+     [stopping] under the same lock and shuts itself. *)
+  Mutex.protect t.conns_lock (fun () ->
+      Hashtbl.replace t.conns fd ();
+      if Atomic.get t.stopping then shutdown_read fd);
   Fun.protect
     ~finally:(fun () ->
-      if not !hijacked then (try Unix.close fd with Unix.Unix_error _ -> ());
+      (* Out of the table before the close: a reused fd number must
+         never be shut by a later sweep. *)
+      Mutex.protect t.conns_lock (fun () -> Hashtbl.remove t.conns fd);
+      (try Unix.close fd with Unix.Unix_error _ -> ());
       Atomic.decr t.inflight_count)
     (fun () ->
       (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.timeout_s
        with Unix.Unix_error _ -> ());
-      match conversation t fd with
-      | `Hijacked -> hijacked := true
-      | `Done -> ()
-      | exception Unix.Unix_error _ -> () (* torn connection: nothing to answer *)
-      | exception e ->
+      try conversation t fd with
+      | Unix.Unix_error _ -> () (* torn connection: nothing to answer *)
+      | e ->
           (* Anything else is a server bug — but it must cost one 500,
              not a silently dead worker domain. *)
           Obs.Metrics.incr ~registry:t.root.Obs.Context.metrics
@@ -640,13 +542,6 @@ let start ?(config = default_config) () =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> config.port
   in
-  let window = Obs.Window.create () in
-  let hub =
-    Events_hub.create
-      ~heartbeat:(fun () ->
-        Sse.frame ~name:"window" (Json.to_string (Obs.Window.to_json window)))
-      ()
-  in
   let t =
     {
       config;
@@ -662,10 +557,10 @@ let start ?(config = default_config) () =
       request_count = Atomic.make 0;
       stopping = Atomic.make false;
       started_at = Unix.gettimeofday ();
-      window;
       traces = Trace_store.create ();
-      hub;
       access = Option.map (fun path -> Access_log.create ~path) config.access_log;
+      conns = Hashtbl.create 64;
+      conns_lock = Mutex.create ();
       acceptor = None;
     }
   in
@@ -677,9 +572,13 @@ let stop t =
     (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL
      with Unix.Unix_error _ -> ());
     (try Unix.close t.listener with Unix.Unix_error _ -> ());
+    (* Wake every conversation blocked on an idle keep-alive read, or
+       the pool's drain (and, with [pool = 0], the acceptor's join)
+       would wait out [timeout_s]. *)
+    Mutex.protect t.conns_lock (fun () ->
+        Hashtbl.iter (fun fd () -> shutdown_read fd) t.conns);
     Option.iter Thread.join t.acceptor;
     t.acceptor <- None;
     Pool.shutdown t.workers;
-    Events_hub.stop t.hub;
     Option.iter Access_log.close t.access
   end

@@ -19,23 +19,16 @@
       options in the query string ({!Api.options_of_query}), JSON out;
     - [GET /healthz] — liveness, uptime, in-flight count;
     - [GET /metrics] — OpenMetrics exposition of the server's root
-      telemetry context, cache gauges and rolling per-endpoint
-      req/s + latency quantiles as labeled series;
+      telemetry context and cache gauges, with request counters
+      labeled by endpoint and status;
     - [GET /journal] — the root run journal as a JSON list;
-    - [GET /api/windows] — the rolling {!Umlfront_obs.Window} snapshot
-      (10 s / 1 m / 5 m) as JSON;
     - [GET /api/trace/ID] — the retained Chrome-trace span tree of
       request ID (kept when the request said [?trace=1] or fell in
-      [trace_sample]);
-    - [GET /events] — an SSE stream of request events and window
-      snapshots (the heartbeat, sent only while someone subscribes),
-      served by a pump thread of the domain that called {!start};
-    - [GET /dashboard] — a self-contained live HTML view over
-      [/events].
+      [trace_sample]).
 
     Every request is numbered ([X-Request-Id]), joins or starts a W3C
-    trace ([traceparent] echoed in the response), lands in the rolling
-    window and the root journal ([serve.access] entries), and — when
+    trace ([traceparent] echoed in the response), lands in the root
+    journal ([serve.access] entries), and — when
     [access_log] is set — is appended as one JSON line by a writer
     thread of that same domain, which never blocks the request path
     (full queue = dropped line + [umlfront_access_log_dropped_total]).
@@ -75,8 +68,8 @@ type t
 
 val start : ?config:config -> unit -> t
 (** Bind [127.0.0.1], spawn the pool's [pool] worker domains, start
-    the acceptor, SSE pump and (with [access_log]) log-writer threads
-    in the calling domain, and return once the socket is listening (so
+    the acceptor and (with [access_log]) log-writer threads in the
+    calling domain, and return once the socket is listening (so
     a client may connect immediately).  Those threads share the
     calling domain with its other threads, so the caller should wait
     (as [umlfront serve] does) rather than compute while it serves. *)
@@ -85,10 +78,13 @@ val port : t -> int
 (** The bound port — the ephemeral one when [config.port = 0]. *)
 
 val stop : t -> unit
-(** Close the listener, join the acceptor thread, drain and join the
-    pool, then stop and join the SSE pump (closing any [/events]
-    subscriber, idle or not) and the log writer.  Idempotent.
-    In-flight requests finish; no new ones are accepted. *)
+(** Close the listener, shut the read side of every open connection
+    (so a worker blocked on an idle keep-alive connection leaves at
+    once instead of after [timeout_s]), join the acceptor thread, drain
+    and join the pool, then the log writer.  Idempotent.  Bytes a
+    connection already received stay readable, so a request that has
+    arrived finishes and gets its reply; one still arriving is cut off.
+    No new connection is accepted. *)
 
 val root : t -> Umlfront_obs.Context.t
 (** The server's root telemetry context — every request's journal
@@ -97,17 +93,6 @@ val root : t -> Umlfront_obs.Context.t
 
 val cache_stats : t -> Cache.stats
 val inflight : t -> int
-
-val window : t -> Umlfront_obs.Window.t
-(** The rolling window every request is recorded into (per-endpoint
-    counters and latency samples) — what [/api/windows], the SSE
-    heartbeat and the [/metrics] rolling gauges read. *)
-
-val subscribers : t -> int
-(** Live [/events] subscribers. *)
-
-val events_dropped : t -> int
-(** SSE frames dropped on full subscriber outboxes (slow consumers). *)
 
 val access_log_dropped : t -> int
 (** Access-log lines dropped on a full writer queue; 0 without a log. *)

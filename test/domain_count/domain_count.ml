@@ -1,8 +1,8 @@
 (* Count the domains a serving daemon spawns, through the runtime's own
    lifecycle events.  Only the pool's workers may be domains: the
-   acceptor, the SSE pump and the access-log writer are threads of the
-   domain that calls [Server.start], so from before [start] to after
-   [stop], with an access log on, [--pool N] spawns exactly N domains.
+   acceptor and the access-log writer are threads of the domain that
+   calls [Server.start], so from before [start] to after [stop], with
+   an access log on, [--pool N] spawns exactly N domains.
    Runtime events are started here, in an executable of its own, so
    the main suite runs without them. *)
 

@@ -339,124 +339,6 @@ let openmetrics_labels () =
   check Alcotest.bool "label values escape backslash, quote, newline" true
     (contains out "umlfront_serve_g{path=\"a\\\\b\\\"c\\nd\"} 1\n")
 
-(* --- rolling window -------------------------------------------------- *)
-
-(* Deterministic rotation and expiry under an injected clock: data can
-   only ever disappear by being outside the queried window or by being
-   overwritten a full lap later — never by clock motion alone. *)
-let window_rotation_and_expiry () =
-  let now = ref 0.5 in
-  let w = Obs.Window.create ~clock:(fun () -> !now) ~bucket_s:1.0 ~buckets:4 () in
-  check feq "bucket_s" 1.0 (Obs.Window.bucket_s w);
-  check Alcotest.int "buckets" 4 (Obs.Window.buckets w);
-  check feq "max window" 4.0 (Obs.Window.max_window_s w);
-  Obs.Window.add w "req";
-  now := 1.5;
-  Obs.Window.add ~by:2 w "req";
-  Obs.Window.observe w "lat" 100.0;
-  Obs.Window.observe w "lat" 300.0;
-  check Alcotest.int "4s window sums both buckets" 3
-    (Obs.Window.sum w ~window_s:4.0 "req");
-  check Alcotest.int "1s window sees only the live bucket" 2
-    (Obs.Window.sum w ~window_s:1.0 "req");
-  check feq "rate divides by the window" 0.75 (Obs.Window.rate w ~window_s:4.0 "req");
-  check (Alcotest.list Alcotest.string) "names are sorted and uniq"
-    [ "lat"; "req" ]
-    (Obs.Window.names w ~window_s:4.0);
-  let q = Obs.Window.quantiles w ~window_s:4.0 "lat" in
-  check Alcotest.int "quantile sample count" 2 q.Obs.Window.q_count;
-  check feq "p50 interpolates" 200.0 q.Obs.Window.q_p50;
-  (* Two empty buckets later the old data is out of short windows but
-     still inside the full ring... *)
-  now := 3.5;
-  check Alcotest.int "2s window excludes the old buckets" 0
-    (Obs.Window.sum w ~window_s:2.0 "req");
-  check Alcotest.int "full window still sees everything" 3
-    (Obs.Window.sum w ~window_s:4.0 "req");
-  (* ...and one lap later the slot is recycled: the expired count can
-     never resurface, even though it shares the ring slot. *)
-  now := 4.5;
-  Obs.Window.add ~by:5 w "req";
-  check Alcotest.int "recycled slot holds only the new lap" 7
-    (Obs.Window.sum w ~window_s:4.0 "req");
-  now := 9.5;
-  check Alcotest.int "fully idle ring reads as zero" 0
-    (Obs.Window.sum w ~window_s:4.0 "req");
-  check Alcotest.int "quantiles of an empty window count zero" 0
-    (Obs.Window.quantiles w ~window_s:4.0 "lat").Obs.Window.q_count
-
-let window_json_shape () =
-  let now = ref 2.0 in
-  let w = Obs.Window.create ~clock:(fun () -> !now) ~bucket_s:1.0 ~buckets:8 () in
-  Obs.Window.add w "/api/lint";
-  Obs.Window.observe w "/api/lint" 150.0;
-  let j = Json.parse_exn (Json.to_string (Obs.Window.to_json ~windows:[ 4.0 ] w)) in
-  let num doc key = Option.bind (Json.member key doc) Json.number in
-  check (Alcotest.option feq) "bucket_s" (Some 1.0) (num j "bucket_s");
-  match Json.items (Option.get (Json.member "windows" j)) with
-  | [ win ] ->
-      check (Alcotest.option feq) "window_s" (Some 4.0) (num win "window_s");
-      let ep =
-        Option.get
-          (Json.member "/api/lint" (Option.get (Json.member "series" win)))
-      in
-      check (Alcotest.option feq) "count" (Some 1.0) (num ep "count");
-      check (Alcotest.option feq) "rate" (Some 0.25) (num ep "rate");
-      check (Alcotest.option feq) "p95 present with samples" (Some 150.0)
-        (num ep "p95")
-  | _ -> Alcotest.fail "expected exactly one window object"
-
-(* The central window invariant, property-tested: for any event
-   sequence and any query instant, [sum] equals the model count of
-   events that are (a) within the queried window, (b) not overwritten
-   by a later lap of the ring.  Never more, never less — an expired
-   bucket can never leak back in. *)
-let window_sum_matches_model =
-  let bucket_s = 1.0 and buckets = 8 in
-  let gen =
-    QCheck.make
-      ~print:(fun (events, q) ->
-        Printf.sprintf "events=%s query=+%d"
-          (String.concat ";" (List.map string_of_int events))
-          q)
-      QCheck.Gen.(pair (list_size (0 -- 40) (0 -- 30)) (0 -- 10))
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"window sum = model of live in-window events" ~count:200 gen
-       (fun (offsets, query_delta) ->
-         (* Event times must ascend for the ring model to apply (a real
-            clock is monotonic): sort the generated offsets. *)
-         let offsets = List.sort compare offsets in
-         let now = ref 0.0 in
-         let w =
-           Obs.Window.create ~clock:(fun () -> !now) ~bucket_s ~buckets ()
-         in
-         List.iter
-           (fun o ->
-             now := (float_of_int o +. 0.5);
-             Obs.Window.add w "e")
-           offsets;
-         let t_query =
-           (match List.rev offsets with [] -> 0 | last :: _ -> last) + query_delta
-         in
-         now := float_of_int t_query +. 0.5;
-         let window_s = 4.0 in
-         (* Model: bucket index = offset; a bucket survives if its ring
-            slot was not claimed by a later bucket index. *)
-         let slot_final = Hashtbl.create 16 in
-         List.iter
-           (fun o -> Hashtbl.replace slot_final (o mod buckets) o)
-           offsets;
-         let expected =
-           List.length
-             (List.filter
-                (fun o ->
-                  o > t_query - 4 && o <= t_query
-                  && Hashtbl.find_opt slot_final (o mod buckets) = Some o)
-                offsets)
-         in
-         Obs.Window.sum w ~window_s "e" = expected))
-
 (* --- run journal ----------------------------------------------------- *)
 
 let journal_records_and_filters () =
@@ -741,9 +623,6 @@ let suite =
         test "metrics table renders" metrics_table_renders;
         test "openmetrics rendering" openmetrics_rendering;
         test "openmetrics labels" openmetrics_labels;
-        test "window rotation and expiry" window_rotation_and_expiry;
-        test "window json shape" window_json_shape;
-        window_sum_matches_model;
         test "journal records and filters" journal_records_and_filters;
         test "journal ring wraps" journal_ring_wraps_and_counts_drops;
         test "journal merge keeps the newest entries" journal_merge_keeps_newest;

@@ -34,9 +34,7 @@ module Cache = Umlfront_serve.Cache
 module Api = Umlfront_serve.Api
 module Server = Umlfront_serve.Server
 module Client = Umlfront_serve.Serve_client
-module Sse = Umlfront_serve.Sse
 module Traceparent = Umlfront_serve.Traceparent
-module Events_hub = Umlfront_serve.Events_hub
 module A = Umlfront_analysis
 module Conf = Umlfront_conformance.Conform
 module R = Umlfront_casestudies.Random_models
@@ -949,7 +947,13 @@ let e2e_tests =
         check Alcotest.int "405" 405 r.Client.status;
         check Alcotest.(option string) "Allow" (Some "POST") (Client.header r "allow");
         let r = post s "/healthz" "x" in
-        check Alcotest.int "405 healthz" 405 r.Client.status);
+        check Alcotest.int "405 healthz" 405 r.Client.status;
+        (* No live stream, dashboard or rolling-window snapshot is served. *)
+        List.iter
+          (fun path ->
+            check Alcotest.int ("GET " ^ path) 404 (get s path).Client.status;
+            check Alcotest.int ("POST " ^ path) 404 (post s path "x").Client.status)
+          [ "/events"; "/dashboard"; "/api/windows" ]);
     test "bad query parameters are 400" (fun () ->
         with_server @@ fun s ->
         let xmi = Lazy.force didactic_xmi in
@@ -1163,6 +1167,39 @@ let e2e_tests =
         checkb "lint answered before transform" (first_at < second_at);
         checkb "two status lines"
           (Astring_contains.count all "HTTP/1.1 200 OK" = 2));
+    test "stop does not wait out an idle keep-alive connection" (fun () ->
+        List.iter
+          (fun pool ->
+            with_server ~config:{ Server.default_config with Server.pool }
+            @@ fun s ->
+            let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+            Fun.protect
+              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            @@ fun () ->
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port s));
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+            let head = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" in
+            ignore (Unix.write_substring fd head 0 (String.length head));
+            (* Read the whole reply and leave the connection open, idle. *)
+            let buf = Bytes.create 4096 and acc = Buffer.create 512 in
+            while not (Astring_contains.contains (Buffer.contents acc) "}\n") do
+              let n = Unix.read fd buf 0 (Bytes.length buf) in
+              if n = 0 then Alcotest.fail "connection closed before the reply";
+              Buffer.add_subbytes acc buf 0 n
+            done;
+            checkb "healthz answered, connection kept alive"
+              (Astring_contains.contains (Buffer.contents acc) "HTTP/1.1 200 OK"
+              && not (Astring_contains.contains (Buffer.contents acc) "Connection: close"));
+            let t0 = Unix.gettimeofday () in
+            Server.stop s;
+            let took = Unix.gettimeofday () -. t0 in
+            checkb
+              (Printf.sprintf "--pool %d: stop returned in %.2f s, under 1 s" pool took)
+              (took < 1.0);
+            check Alcotest.int "the daemon closed the idle connection" 0
+              (try Unix.read fd buf 0 (Bytes.length buf)
+               with Unix.Unix_error _ -> -1))
+          [ 2; 0 ]);
   ]
 
 (* --- the hammer ------------------------------------------------------ *)
@@ -1325,39 +1362,7 @@ let hammer_tests =
            true));
   ]
 
-(* --- observability: SSE framing, traceparent, the events hub --------- *)
-
-let sse_framing () =
-  check Alcotest.string "named frame" "event: request\nid: 7\ndata: {}\n\n"
-    (Sse.frame ~name:"request" ~id:"7" "{}");
-  check Alcotest.string "multi-line data becomes multiple data lines"
-    "data: a\ndata: b\n\n" (Sse.frame "a\nb");
-  check Alcotest.string "comment keep-alive" ": hb\n\n" (Sse.comment "hb")
-
-let sse_parser_torn_input () =
-  let p = Sse.parser () in
-  (* One frame delivered a byte at a time must parse identically. *)
-  let frame = Sse.frame ~name:"window" ~id:"3" "x\ny" in
-  let got = ref [] in
-  String.iter
-    (fun c -> got := !got @ Sse.feed p (String.make 1 c))
-    (Sse.comment "noise" ^ frame);
-  (match !got with
-  | [ e ] ->
-      check Alcotest.(option string) "name" (Some "window") e.Sse.name;
-      check Alcotest.(option string) "id" (Some "3") e.Sse.id;
-      check Alcotest.string "multi-line data rejoined" "x\ny" e.Sse.data
-  | es -> Alcotest.failf "expected one event, got %d" (List.length es));
-  (* CRLF line endings and the optional space after the colon are both
-     tolerated; a frame without a blank line stays pending. *)
-  let p = Sse.parser () in
-  check Alcotest.int "no dispatch before the blank line" 0
-    (List.length (Sse.feed p "event:request\r\ndata:body\r\n"));
-  match Sse.feed p "\r\n" with
-  | [ e ] ->
-      check Alcotest.(option string) "name without space" (Some "request") e.Sse.name;
-      check Alcotest.string "data without space" "body" e.Sse.data
-  | es -> Alcotest.failf "expected one event after blank line, got %d" (List.length es)
+(* --- observability: traceparent ------------------------------------- *)
 
 let traceparent_parse_strictness () =
   let ok = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01" in
@@ -1417,87 +1422,10 @@ let traceparent_roundtrip_prop =
     (QCheck.Test.make ~name:"traceparent to_string/parse round-trips" ~count:200 gen
        (fun t -> Traceparent.parse (Traceparent.to_string t) = Some t))
 
-(* The hub in isolation, over a socketpair: frames reach a reading
-   subscriber, an outbox too small for the frame drops it (and counts
-   it) instead of blocking, and the subscriber cap holds. *)
-let events_hub_delivery_and_drops () =
-  let hub =
-    Events_hub.create ~max_subs:1 ~max_outbox:48 ~heartbeat_s:60.0
-      ~heartbeat:(fun () -> Sse.comment "hb")
-      ()
-  in
-  Fun.protect ~finally:(fun () -> Events_hub.stop hub)
-  @@ fun () ->
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close b with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  checkb "subscribed" (Events_hub.subscribe hub a ~greeting:"hello\n\n");
-  check Alcotest.int "one subscriber" 1 (Events_hub.subscribers hub);
-  let c, d = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  checkb "cap refuses a second subscriber"
-    (not (Events_hub.subscribe hub c ~greeting:""));
-  Unix.close c;
-  Unix.close d;
-  check Alcotest.int "small frame delivered to every outbox" 0
-    (Events_hub.publish hub (Sse.frame "ping"));
-  (* Read until both greeting and frame came through the pump. *)
-  (try Unix.setsockopt_float b Unix.SO_RCVTIMEO 2.0 with Unix.Unix_error _ -> ());
-  let buf = Bytes.create 1024 in
-  let acc = Buffer.create 64 in
-  let rec drain () =
-    if not (Astring_contains.contains (Buffer.contents acc) "data: ping") then (
-      let n = Unix.read b buf 0 (Bytes.length buf) in
-      if n > 0 then (
-        Buffer.add_subbytes acc buf 0 n;
-        drain ()))
-  in
-  (try drain () with Unix.Unix_error _ -> ());
-  let got = Buffer.contents acc in
-  checkb "greeting written first" (Astring_contains.contains got "hello");
-  checkb "published frame pumped out" (Astring_contains.contains got "data: ping");
-  (* A frame bigger than the whole outbox can never be queued: dropped
-     and counted, publish does not block. *)
-  check Alcotest.int "oversized frame dropped for the one subscriber" 1
-    (Events_hub.publish hub (Sse.frame (String.make 100 'x')));
-  check Alcotest.int "drop counted" 1 (Events_hub.dropped hub)
-
-(* The heartbeat is rendered only for someone to read it: an idle hub
-   renders nothing on its interval, a subscribed one streams. *)
-let events_hub_heartbeat_needs_a_subscriber () =
-  let renders = Atomic.make 0 in
-  let hub =
-    Events_hub.create ~heartbeat_s:0.01
-      ~heartbeat:(fun () ->
-        Atomic.incr renders;
-        Sse.comment "hb")
-      ()
-  in
-  Fun.protect ~finally:(fun () -> Events_hub.stop hub)
-  @@ fun () ->
-  Unix.sleepf 0.2;
-  check Alcotest.int "no heartbeat rendered without a subscriber" 0
-    (Atomic.get renders);
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close b with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  checkb "subscribed" (Events_hub.subscribe hub a ~greeting:"");
-  let deadline = Unix.gettimeofday () +. 2.0 in
-  while Atomic.get renders = 0 && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.01
-  done;
-  checkb "a heartbeat rendered for the subscriber" (Atomic.get renders >= 1)
-
 let obs_unit_tests =
   [
-    test "sse framing" sse_framing;
-    test "sse parser handles torn chunks, CRLF and comments" sse_parser_torn_input;
     test "traceparent parse is strict" traceparent_parse_strictness;
     traceparent_roundtrip_prop;
-    test "events hub delivers and drops without blocking" events_hub_delivery_and_drops;
-    test "events hub renders no heartbeat without a subscriber"
-      events_hub_heartbeat_needs_a_subscriber;
   ]
 
 (* --- observability end to end ---------------------------------------- *)
@@ -1577,103 +1505,18 @@ let obs_e2e_tests =
         let id = Option.get (Client.request_id r) in
         check Alcotest.int "sampled trace kept" 200
           (Client.trace ~port:(Server.port s) id).Client.status);
-    test "/api/windows and the labeled rolling series reflect traffic"
-      (fun () ->
+    test "labeled request counters reflect traffic" (fun () ->
         with_server @@ fun s ->
         let xmi = Lazy.force didactic_xmi in
         check Alcotest.int "lint" 200 (post s "/api/lint" xmi).Client.status;
         check Alcotest.int "lint again" 200 (post s "/api/lint" xmi).Client.status;
-        let w = Client.windows ~port:(Server.port s) in
-        check Alcotest.int "windows endpoint" 200 w.Client.status;
-        let doc = Json.parse_exn w.Client.body in
-        let windows = Json.items (Option.get (Json.member "windows" doc)) in
-        check Alcotest.int "three windows" 3 (List.length windows);
-        let ten = List.hd windows in
-        let series = Option.get (Json.member "series" ten) in
-        (match Json.member "/api/lint" series with
-        | Some ep ->
-            checkb "both requests counted"
-              (Json.member "count" ep = Some (Json.Int 2));
-            checkb "latency quantiles present" (Json.member "p95" ep <> None)
-        | None -> Alcotest.fail "no /api/lint series in the 10s window");
         let m = (get s "/metrics").Client.body in
         checkb "labeled request counter"
           (Astring_contains.contains m
              "umlfront_serve_requests_total{endpoint=\"/api/lint\",status=\"200\"} 2");
-        checkb "rolling p95 gauge, labeled by endpoint and window"
-          (Astring_contains.contains m
-             "umlfront_serve_rolling_p95_us{endpoint=\"/api/lint\",window=\"60s\"}"));
-    test "dashboard is a self-contained live page over /events" (fun () ->
-        with_server @@ fun s ->
-        let r = Client.dashboard ~port:(Server.port s) in
-        check Alcotest.int "200" 200 r.Client.status;
-        check Alcotest.(option string) "html"
-          (Some "text/html; charset=utf-8")
-          (Client.header r "content-type");
-        checkb "subscribes to /events"
-          (Astring_contains.contains r.Client.body "new EventSource(\"/events\")");
-        checkb "no external resources"
-          (not (Astring_contains.contains r.Client.body "http://")
-          && not (Astring_contains.contains r.Client.body "https://")));
-    test "/events greets, then streams request frames" (fun () ->
-        with_server @@ fun s ->
-        let port = Server.port s in
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        @@ fun () ->
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        let head = "GET /events HTTP/1.1\r\nHost: x\r\n\r\n" in
-        ignore (Unix.write_substring fd head 0 (String.length head));
-        let rec wait n =
-          if Server.subscribers s = 0 && n > 0 then (
-            Unix.sleepf 0.01;
-            wait (n - 1))
-        in
-        wait 500;
-        check Alcotest.int "subscriber registered" 1 (Server.subscribers s);
-        let ids =
-          List.init 3 (fun _ ->
-              match Client.request_id (get s "/healthz") with
-              | Some id -> Json.Int (int_of_string id)
-              | None -> Alcotest.fail "no X-Request-Id")
-        in
-        (* Read until every request's frame arrived; heartbeat "window"
-           frames may come in between. *)
-        (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25 with Unix.Unix_error _ -> ());
-        let deadline = Unix.gettimeofday () +. 8.0 in
-        let stream = Buffer.create 4096 and buf = Bytes.create 4096 in
-        let rec frames ~closed =
-          let all = Buffer.contents stream in
-          let events =
-            match Astring_contains.find all "\r\n\r\n" with
-            | i when i >= 0 ->
-                Sse.feed (Sse.parser ()) (String.sub all (i + 4) (String.length all - i - 4))
-            | _ -> []
-          in
-          let requests = List.filter (fun e -> e.Sse.name = Some "request") events in
-          if closed || List.length requests >= List.length ids
-             || Unix.gettimeofday () > deadline
-          then (events, requests)
-          else
-            match Unix.read fd buf 0 (Bytes.length buf) with
-            | 0 -> frames ~closed:true
-            | n ->
-                Buffer.add_subbytes stream buf 0 n;
-                frames ~closed
-            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-              ->
-                frames ~closed
-        in
-        let events, requests = frames ~closed:false in
-        (match events with
-        | hello :: _ ->
-            check Alcotest.(option string) "hello first" (Some "hello") hello.Sse.name;
-            checkb "hello is JSON with the port"
-              (Json.member "port" (Json.parse_exn hello.Sse.data) = Some (Json.Int port))
-        | [] -> Alcotest.fail "no events");
-        checkb "one request frame per request, in order"
-          (List.map (fun e -> Json.member "id" (Json.parse_exn e.Sse.data)) requests
-          = List.map Option.some ids));
+        checkb "the labeled family is the only per-status and per-endpoint one"
+          (not (Astring_contains.contains m "umlfront_serve_status_")
+          && not (Astring_contains.contains m "umlfront_serve_endpoint_")));
     test "access log is parseable JSONL written off the request path"
       (fun () ->
         let path = Filename.temp_file "umlfront_access" ".jsonl" in
@@ -1701,30 +1544,6 @@ let obs_e2e_tests =
           lines;
         checkb "endpoints recorded"
           (Astring_contains.contains (read_file path) "\"/api/lint\""));
-    test "a slow /events consumer cannot stall the request path" (fun () ->
-        with_server @@ fun s ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        @@ fun () ->
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port s));
-        let head = "GET /events HTTP/1.1\r\nHost: x\r\n\r\n" in
-        ignore (Unix.write_substring fd head 0 (String.length head));
-        let rec wait n =
-          if Server.subscribers s = 0 && n > 0 then (
-            Unix.sleepf 0.01;
-            wait (n - 1))
-        in
-        wait 500;
-        check Alcotest.int "subscribed but never reading" 1 (Server.subscribers s);
-        (* The stalled subscriber must not slow the serving path: every
-           request still answers promptly. *)
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to 30 do
-          check Alcotest.int "request unaffected" 200 (get s "/healthz").Client.status
-        done;
-        checkb "30 requests finish promptly despite the dead subscriber"
-          (Unix.gettimeofday () -. t0 < 20.0));
   ]
 
 let suite =
