@@ -318,7 +318,7 @@ let simulate_cmd =
     let opts =
       { Api.default_options with strategy; rounds; engine; engine_given = true }
     in
-    let sdf = Dataflow.Sdf.of_model (Api.transform opts (load path)).Core.Flow.caam in
+    let sdf = Dataflow.Sdf.of_model (Api.caam opts (load path)) in
     let jobs = if engine = `Compiled then jobs else 1 in
     let outcome = with_jobs jobs (fun pool -> Api.simulate ?pool opts sdf) in
     if csv then print_string (Dataflow.Trace_export.traces_csv outcome)
@@ -370,7 +370,7 @@ let simulate_cmd =
 let codegen_cmd =
   let action path strategy rounds dir lang () =
     let opts = { Api.default_options with strategy; rounds } in
-    let caam = (Api.transform opts (load path)).Core.Flow.caam in
+    let caam = Api.caam opts (load path) in
     List.iter
       (fun (name, text) -> write_file (Filename.concat dir name) text)
       (Api.files lang opts caam);
@@ -683,7 +683,7 @@ let lint_cmd =
     else begin
       let lint_one path =
         let uml = load path in
-        (path, Api.lint uml (Api.transform { Api.default_options with strategy } uml))
+        (path, Api.lint uml (Api.caam { Api.default_options with strategy } uml))
       in
       let results =
         with_jobs jobs (fun pool ->
@@ -746,7 +746,7 @@ let conform_cmd =
     let caam =
       if Filename.check_suffix path ".mdl" then
         Umlfront_simulink.Mdl_parser.parse_file path
-      else (Api.transform opts (load path)).Core.Flow.caam
+      else Api.caam opts (load path)
     in
     let report = with_jobs jobs (fun pool -> Api.conform ?pool opts caam) in
     (match format with

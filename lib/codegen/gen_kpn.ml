@@ -29,7 +29,8 @@ let generate ?(rounds = 10) (m : Model.t) =
     sdf.Sdf.edges;
   M2t.blank t;
   M2t.line t "(* The embedded model, reparsed at runtime: *)";
-  M2t.line t "let mdl_text = {mdl|%s|mdl}" (Umlfront_simulink.Mdl_writer.to_string m);
+  M2t.line t "let mdl_text = {mdl|%s|mdl}"
+    (Umlfront_simulink.Mdl_writer.to_string (Umlfront_simulink.Layout.run m));
   M2t.blank t;
   M2t.line t "let network () =";
   M2t.indented t (fun () ->

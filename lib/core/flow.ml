@@ -28,19 +28,6 @@ let strategy_of_string = function
 let with_cpus cpus strategy =
   match cpus with Some n -> Infer_bounded n | None -> strategy
 
-(* The pure cache identity of a flow run: the canonical XMI bytes of
-   the (parsed, re-serialized) model plus every input that steers the
-   phases.  Two texts that parse to the same model — different
-   whitespace, attribute order the writer normalizes — share material,
-   so a serving cache keyed on (a hash of) this string deduplicates
-   them; any model edit or option change produces different bytes.
-   Purely a function of its arguments: no telemetry, no globals. *)
-let cache_material ?(style = Mapping.Caam) ?(strategy = Prefer_deployment) uml =
-  Printf.sprintf "style=%s\nstrategy=%s\n%s"
-    (match style with Mapping.Caam -> "caam" | Mapping.Flat -> "flat")
-    (strategy_name strategy)
-    (Umlfront_uml.Xmi.to_string uml)
-
 type output = {
   caam : Umlfront_simulink.Model.t;
   mdl : string;
@@ -106,23 +93,11 @@ let lint_gate policy uml caam =
            (A.Diagnostic.summary diagnostics)
            (A.Diagnostic.to_line (List.hd denied)))
 
-(* [?ctx] runs the whole flow inside an explicit telemetry context:
-   spans, counters, journal entries and tokens all land in [ctx]
-   instead of the process-global default, which is what makes
-   concurrent flows observable in isolation.  Without it, the current
-   (usually global) context is used — the historical behaviour. *)
-let run ?(style = Mapping.Caam) ?(strategy = Prefer_deployment) ?gate ?ctx uml =
-  (match ctx with Some c -> Obs.Context.with_current c | None -> fun f -> f ())
-  @@ fun () ->
-  if Obs.Trace.enabled () then
-    Obs.Trace.set_process_name uml.Umlfront_uml.Model.model_name;
-  phase "run"
-    ~args:(fun () -> [ ("model", Umlfront_obs.Json.String uml.Umlfront_uml.Model.model_name) ])
-  @@ fun () ->
-  Log.info (fun m ->
-      m "flow start: model %s, %d threads" uml.Umlfront_uml.Model.model_name
-        (List.length (Umlfront_uml.Model.threads uml)));
-  Obs.Metrics.incr "flow.runs";
+(* The synthesis of §4.1–4.2.3: validate → allocate → map → channels →
+   barriers, each under its own phase span; the caller opens the
+   [flow.run] root.  Returns every phase's result, the CAAM before
+   layout last. *)
+let synthesis_phases ~style ~strategy uml =
   let issues = phase "validate" (fun () -> Umlfront_uml.Validate.check uml) in
   Obs.Metrics.incr "flow.validate.issues" ~by:(List.length issues);
   List.iter
@@ -163,15 +138,54 @@ let run ?(style = Mapping.Caam) ?(strategy = Prefer_deployment) ?gate ?ctx uml =
   if barriered.Loop_breaker.delays_inserted > 0 then
     Log.info (fun m ->
         m "inserted %d temporal barrier(s)" barriered.Loop_breaker.delays_inserted);
-  let caam = phase "layout" (fun () -> Umlfront_simulink.Layout.run barriered.Loop_breaker.model) in
-  Option.iter (fun policy -> lint_gate policy uml caam) gate;
-  let mdl = phase "emit" (fun () -> Umlfront_simulink.Mdl_writer.to_string caam) in
-  let fsms = phase "fsm" (fun () -> Uml2fsm.run uml) in
+  (allocation, mapped, channelized, barriered)
+
+(* [?ctx] runs the whole flow inside an explicit telemetry context:
+   spans, counters, journal entries and tokens all land in [ctx]
+   instead of the process-global default, which is what makes
+   concurrent flows observable in isolation.  Without it, the current
+   (usually global) context is used — the historical behaviour.  Both
+   [run] and [synthesize] open one [flow.run] root over the phases they
+   run. *)
+let root ?ctx uml f =
+  (match ctx with Some c -> Obs.Context.with_current c | None -> fun f -> f ())
+  @@ fun () ->
+  if Obs.Trace.enabled () then
+    Obs.Trace.set_process_name uml.Umlfront_uml.Model.model_name;
+  phase "run"
+    ~args:(fun () -> [ ("model", Umlfront_obs.Json.String uml.Umlfront_uml.Model.model_name) ])
+  @@ fun () ->
+  Log.info (fun m ->
+      m "flow start: model %s, %d threads" uml.Umlfront_uml.Model.model_name
+        (List.length (Umlfront_uml.Model.threads uml)));
+  Obs.Metrics.incr "flow.runs";
+  f ()
+
+let finish caam =
   let blocks = Umlfront_simulink.System.total_blocks caam.Umlfront_simulink.Model.root in
   Obs.Metrics.incr "flow.blocks" ~by:blocks;
   Log.info (fun m ->
       m "flow done: %d blocks, %d lines" blocks
-        (Umlfront_simulink.System.total_lines caam.Umlfront_simulink.Model.root));
+        (Umlfront_simulink.System.total_lines caam.Umlfront_simulink.Model.root))
+
+(* The FSM phase runs for what it rejects: a malformed statechart fails
+   here as it fails [run]. *)
+let synthesize ?(strategy = Prefer_deployment) uml =
+  root uml @@ fun () ->
+  let _, _, _, barriered = synthesis_phases ~style:Mapping.Caam ~strategy uml in
+  let caam = barriered.Loop_breaker.model in
+  ignore (phase "fsm" (fun () -> Uml2fsm.run uml));
+  finish caam;
+  caam
+
+let run ?(style = Mapping.Caam) ?(strategy = Prefer_deployment) ?gate ?ctx uml =
+  root ?ctx uml @@ fun () ->
+  let allocation, mapped, channelized, barriered = synthesis_phases ~style ~strategy uml in
+  let caam = phase "layout" (fun () -> Umlfront_simulink.Layout.run barriered.Loop_breaker.model) in
+  Option.iter (fun policy -> lint_gate policy uml caam) gate;
+  let mdl = phase "emit" (fun () -> Umlfront_simulink.Mdl_writer.to_string caam) in
+  let fsms = phase "fsm" (fun () -> Uml2fsm.run uml) in
+  finish caam;
   {
     caam;
     mdl;

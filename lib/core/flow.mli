@@ -4,7 +4,10 @@
 
     Pipeline: validate → allocate threads (deployment diagram or the
     §4.2.3 optimization) → map (§4.1) → infer channels (§4.2.1) →
-    insert temporal barriers (§4.2.2) → emit. *)
+    insert temporal barriers (§4.2.2) — the synthesis, {!synthesize} —
+    then, in {!run} only, lay out the blocks and emit the [.mdl] text
+    for the Simulink GUI; both end by flattening the statecharts to
+    FSMs. *)
 
 type allocation_strategy =
   | Use_deployment  (** require the deployment diagram *)
@@ -25,18 +28,6 @@ val strategy_of_string : string -> (allocation_strategy, string) result
 val with_cpus : int option -> allocation_strategy -> allocation_strategy
 (** [with_cpus (Some n) s] is [Infer_bounded n] whatever [s]: a CPU
     bound ([--cpus], [cpus=]) wins over the named strategy. *)
-
-val cache_material :
-  ?style:Mapping.style ->
-  ?strategy:allocation_strategy ->
-  Umlfront_uml.Model.t ->
-  string
-(** The pure cache identity of a {!run}: canonical XMI bytes of the
-    model prefixed with every option that steers the phases.  Equal
-    material guarantees an equal flow output (the pipeline is
-    deterministic), which is what lets [umlfront serve] key its
-    content-hash response cache on a SHA-256 of this string plus the
-    endpoint and its remaining options. *)
 
 type output = {
   caam : Umlfront_simulink.Model.t;  (** after all optimization passes *)
@@ -72,6 +63,23 @@ val run :
 
     @raise Invalid_argument on a malformed model, [Use_deployment]
     without a deployment diagram, or a denied lint finding. *)
+
+val synthesize :
+  ?strategy:allocation_strategy ->
+  Umlfront_uml.Model.t ->
+  Umlfront_simulink.Model.t
+(** The synthesized CAAM of a model: {!run}'s phases up to the temporal
+    barriers, in the CAAM style, then its FSM phase, whose FSMs are
+    dropped; no layout and no [.mdl] text.  It differs from
+    [(run uml).caam] only in that no block carries a [Position]
+    parameter, which nothing but the [.mdl] text and the E-core export
+    reads: lint, simulation, conformance and the C, Java, SystemC and
+    KPN generators see the same model either way.  Records the same
+    [flow.run] root span, journal entry and [flow.runs] count as {!run},
+    over the phases it runs.
+
+    @raise Invalid_argument as {!run} does (a malformed statechart
+    included), except that it has no lint gate. *)
 
 val ecore_xml : output -> string
 (** The intermediate model-to-model artifact of Fig. 2: the generated

@@ -133,9 +133,9 @@ let parse_model body =
 (* --- cache identity -------------------------------------------------- *)
 
 (* Only the options an endpoint reads, so that requests which cannot
-   differ in their answer share one entry; the strategy enters through
-   [Flow.cache_material]. *)
-let canonical_options endpoint opts =
+   differ in their answer share one entry, then the strategy, which
+   every endpoint reads. *)
+let key_options endpoint opts =
   let rounds = "rounds=" ^ string_of_int opts.rounds in
   let engine = "engine=" ^ Conf.engine_name (engine endpoint opts) in
   String.concat "\n"
@@ -155,28 +155,33 @@ let canonical_options endpoint opts =
           | None -> "all"
           | Some bs -> String.concat "," (List.map Conf.backend_name bs) );
         ]
-    | Generate _ -> [ rounds ]))
+    | Generate _ -> [ rounds ])
+    @ [ "strategy=" ^ Core.Flow.strategy_name opts.strategy ])
 
+(* The options, then the body's MD5: fixed-length and last, so no two
+   (options, body) pairs spell the same key. *)
+let raw_key endpoint opts body = key_options endpoint opts ^ "\n" ^ Digest.string body
+
+(* The id is the MD5 of the raw key the canonical XMI would have: one
+   digest over the XMI, none over a copy of it. *)
 let cache_key endpoint opts uml =
-  Sha256.hex
-    (canonical_options endpoint opts ^ "\n"
-    ^ Core.Flow.cache_material ~strategy:opts.strategy uml)
-
-(* The options [cache_key] covers, the strategy that [cache_material]
-   carries there, then the body's MD5: fixed-length and last, so no
-   two (options, body) pairs spell the same key. *)
-let raw_key endpoint opts body =
-  String.concat "\n"
-    [
-      canonical_options endpoint opts;
-      "strategy=" ^ Core.Flow.strategy_name opts.strategy;
-      Digest.string body;
-    ]
+  let options = key_options endpoint opts and xmi = U.Xmi.to_string uml in
+  {
+    Cache.id = Digest.to_hex (Digest.string (options ^ "\n" ^ Digest.string xmi));
+    options;
+    xmi;
+  }
 
 (* --- computations ---------------------------------------------------- *)
 
 let transform opts uml = Core.Flow.run ~strategy:opts.strategy uml
-let lint uml output = A.Lint.check ~uml output.Core.Flow.caam
+
+(* What every endpoint but transform computes on: no reply of theirs
+   holds positions or .mdl text, and the KPN generator lays out the
+   model it embeds itself. *)
+let caam opts uml = Core.Flow.synthesize ~strategy:opts.strategy uml
+
+let lint uml caam = A.Lint.check ~uml caam
 
 let simulate ?pool opts sdf =
   match engine Simulate opts with
@@ -292,28 +297,31 @@ let check_deadline deadline =
 
 let compute ?deadline endpoint opts uml =
   let flow () =
-    let output = transform opts uml in
+    let caam = caam opts uml in
     check_deadline deadline;
-    output
+    caam
   in
   match endpoint with
   | Lint -> lint_json [ (opts.file, lint uml (flow ())) ]
-  | Transform -> transform_json uml opts (flow ())
+  | Transform ->
+      let output = transform opts uml in
+      check_deadline deadline;
+      transform_json uml opts output
   | Simulate ->
-      let sdf = Dataflow.Sdf.of_model (flow ()).Core.Flow.caam in
+      let sdf = Dataflow.Sdf.of_model (flow ()) in
       check_deadline deadline;
       let outcome = simulate opts sdf in
       check_deadline deadline;
       simulate_json uml opts outcome
   | Conform ->
-      let report = conform opts (flow ()).Core.Flow.caam in
+      let report = conform opts (flow ()) in
       check_deadline deadline;
       conform_json report
   | Generate lang ->
-      let output = flow () in
-      let diagnostics = lint uml output in
+      let caam = flow () in
+      let diagnostics = lint uml caam in
       check_deadline deadline;
-      let files = files lang opts output.Core.Flow.caam in
+      let files = files lang opts caam in
       check_deadline deadline;
       generate_json uml opts lang diagnostics files
 

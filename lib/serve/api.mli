@@ -80,24 +80,27 @@ val parse_model :
 (** Parse request-body XMI.  Malformed input comes back as a
     [Diagnostic.t] with code [UF901] for a 422 response. *)
 
-val cache_key : endpoint -> options -> Umlfront_uml.Model.t -> string
-(** SHA-256 hex over the endpoint, the options it reads and
-    {!Umlfront_core.Flow.cache_material} (which carries the strategy):
-    [file] on lint; [rounds] on simulate, conform and generate; the
-    resolved {!engine} on simulate and conform; [backends] on conform.
-    Equal keys guarantee equal response bodies, and options an
-    endpoint ignores do not split its entries: [/api/simulate] and
-    [/api/simulate?engine=compiled] share one. *)
+val cache_key : endpoint -> options -> Umlfront_uml.Model.t -> Cache.key
+(** The canonical cache key of a request, hashed by nothing slower than
+    MD5: its [options] name the endpoint, the options it reads and the
+    strategy ([file] on lint; [rounds] on simulate, conform and
+    generate; the resolved {!engine} on simulate and conform;
+    [backends] on conform); its [xmi] is the model re-serialized
+    ([Xmi.to_string]); its [id] is the MD5 hex of both.  Equal keys
+    guarantee equal response bodies, and options an endpoint ignores do
+    not split its entries: [/api/simulate] and
+    [/api/simulate?engine=compiled] share one.  Two texts that parse to
+    the same model (whitespace, attribute order the writer normalizes)
+    share a key. *)
 
 val raw_key : endpoint -> options -> string -> string
 (** The key of a request body as it arrived, for {!Cache.find_raw}:
-    the endpoint, the options {!cache_key} covers (the strategy
-    included, [bounded-N] too, [trace] not) and the MD5 of [body],
-    which is digested without being copied.  Two raw keys are equal
-    exactly when the [cache_key]s of the same body would be, so a
-    request can be answered from the cache without parsing it; bodies
-    that differ only in whitespace get different raw keys and meet at
-    their common [cache_key] instead. *)
+    the options {!cache_key} covers (the strategy included, [bounded-N]
+    too, [trace] not) and the MD5 of [body], which is digested without
+    being copied.  Two raw keys are equal exactly when the [cache_key]s
+    of the same body would be, so a request can be answered from the
+    cache without parsing it; bodies that differ only in whitespace get
+    different raw keys and meet at their common [cache_key] instead. *)
 
 (** {2 Computations}
 
@@ -107,9 +110,16 @@ val raw_key : endpoint -> options -> string -> string
 val transform : options -> Umlfront_uml.Model.t -> Umlfront_core.Flow.output
 (** The flow under [options.strategy] ([umlfront map], [/api/transform]). *)
 
+val caam : options -> Umlfront_uml.Model.t -> Umlfront_simulink.Model.t
+(** {!Umlfront_core.Flow.synthesize} under [options.strategy]: the CAAM
+    every endpoint but [Transform] computes on, for the server and the
+    CLI.  No reply of theirs holds positions or [.mdl] text, and the
+    KPN source lays out the model it embeds, so none of them pays for
+    layout or printing. *)
+
 val lint :
-  Umlfront_uml.Model.t -> Umlfront_core.Flow.output -> Umlfront_analysis.Diagnostic.t list
-(** Lint findings on a model and on the CAAM {!transform} made of it. *)
+  Umlfront_uml.Model.t -> Umlfront_simulink.Model.t -> Umlfront_analysis.Diagnostic.t list
+(** Lint findings on a model and on the CAAM {!caam} made of it. *)
 
 val simulate :
   ?pool:Umlfront_parallel.Pool.t ->

@@ -1,11 +1,14 @@
 (* LRU over two Hashtbls plus an intrusive doubly-linked recency list:
-   O(1) find/add/evict.  The canonical table holds every entry; the raw
-   table holds the entries whose filling request body is kept, keyed by
-   that body's digest.  Both point at the same nodes, so one recency
-   list and one byte bound cover both.  All state is guarded by one
-   mutex; the critical sections only move list pointers, update
-   counters and, on a raw probe, compare one request body. *)
+   O(1) find/add/evict.  The canonical table holds every entry, keyed
+   by its key's id; the raw table holds the entries whose filling
+   request body is kept, keyed by that body's digest.  Both point at
+   the same nodes, so one recency list and one byte bound cover both.
+   All state is guarded by one mutex; the critical sections only move
+   list pointers, update counters and compare the material a probe
+   claims: the options and canonical XMI of a key, or one request
+   body. *)
 
+type key = { id : string; options : string; xmi : string }
 type value = { status : int; content_type : string; body : string }
 
 type stats = {
@@ -19,7 +22,7 @@ type stats = {
 }
 
 type node = {
-  key : string;
+  key : key;
   v : value;
   raw : (string * string) option;  (** the raw key and the request body *)
   size : int;
@@ -27,8 +30,9 @@ type node = {
   mutable next : node option;  (** towards least-recently-used *)
 }
 
-(* The request bodies the raw index holds, weakly: a body filling
-   entries of several endpoints is kept once. *)
+(* The request bodies and canonical XMI the entries hold, weakly: a
+   body filling entries of several endpoints is kept once, and so is a
+   body that is its own canonical XMI. *)
 module Bodies = Weak.Make (struct
   type t = string
 
@@ -67,15 +71,18 @@ let create ~max_bytes =
     evictions = 0;
   }
 
-(* Entry cost: the payload, the request body if kept, each key stored
-   twice (table + node) plus a fixed allowance for the node and table
-   slots. *)
+(* Entry cost: the payload, the key's id and options, the canonical
+   XMI unless it is the kept request body, the raw key and the request
+   body if kept, plus a fixed allowance for the node and table slots.
+   Each string counts once: a table and its node share it. *)
 let cost key v raw =
-  String.length v.body + (2 * String.length key) + 64
+  String.length v.body + String.length key.id + String.length key.options + 64
   +
   match raw with
-  | Some (raw_key, request) -> String.length request + (2 * String.length raw_key)
-  | None -> 0
+  | Some (raw_key, request) ->
+      String.length raw_key + String.length request
+      + if String.equal request key.xmi then 0 else String.length key.xmi
+  | None -> String.length key.xmi
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.mru <- n.next);
@@ -93,7 +100,7 @@ let push_front t n =
    dropping it removes it from both indexes. *)
 let drop t n =
   unlink t n;
-  Hashtbl.remove t.table n.key;
+  Hashtbl.remove t.table n.key.id;
   Option.iter (fun (raw_key, _) -> Hashtbl.remove t.raw_table raw_key) n.raw;
   t.bytes <- t.bytes - n.size
 
@@ -102,13 +109,16 @@ let hit t n =
   unlink t n;
   push_front t n
 
+(* An entry under the probe's id answers only when its material is the
+   probe's, so a digest collision costs a miss. *)
 let find t key =
   Mutex.protect t.lock @@ fun () ->
-  match Hashtbl.find_opt t.table key with
-  | Some n ->
+  match Hashtbl.find_opt t.table key.id with
+  | Some n when String.equal n.key.options key.options && String.equal n.key.xmi key.xmi
+    ->
       hit t n;
       Some n.v
-  | None ->
+  | Some _ | None ->
       t.misses <- t.misses + 1;
       None
 
@@ -118,16 +128,17 @@ let find_raw t raw_key request =
   | Some ({ raw = Some (_, stored); _ } as n) when String.equal stored request ->
       hit t n;
       t.raw_hits <- t.raw_hits + 1;
-      Some (n.key, n.v)
+      Some (n.key.id, n.v)
   | Some _ | None -> None
 
 let add ?raw t key v =
   let size = cost key v raw in
   if size <= t.max_bytes then
     Mutex.protect t.lock @@ fun () ->
-    (match Hashtbl.find_opt t.table key with Some old -> drop t old | None -> ());
-    (* Another entry under the same raw key means two bodies collided
-       on the digest: the newer one wins the slot. *)
+    (* Another entry under the same id is this key's older fill or a
+       digest collision; under the same raw key, two bodies collided on
+       the digest.  Either way the newer one wins the slot. *)
+    (match Hashtbl.find_opt t.table key.id with Some old -> drop t old | None -> ());
     Option.iter
       (fun (raw_key, _) ->
         match Hashtbl.find_opt t.raw_table raw_key with
@@ -137,8 +148,9 @@ let add ?raw t key v =
     let raw =
       Option.map (fun (raw_key, request) -> (raw_key, Bodies.merge t.bodies request)) raw
     in
+    let key = { key with xmi = Bodies.merge t.bodies key.xmi } in
     let n = { key; v; raw; size; prev = None; next = None } in
-    Hashtbl.replace t.table key n;
+    Hashtbl.replace t.table key.id n;
     Option.iter (fun (raw_key, _) -> Hashtbl.replace t.raw_table raw_key n) raw;
     push_front t n;
     t.bytes <- t.bytes + size;

@@ -120,7 +120,7 @@ type reply = {
   r_headers : (string * string) list;
   r_cache : string; (* "hit" | "miss" | "-" *)
   r_spans : int;
-  r_model : string option; (* the content hash the cache keys on *)
+  r_model : string option; (* the id of the cache entry *)
   r_trace_stored : bool;
 }
 
@@ -217,7 +217,7 @@ let compute t ~request_id ~trace_id endpoint (req : Http.request) =
           | Ok uml -> (
               let key = Api.cache_key endpoint opts uml in
               match Cache.find t.cache key with
-              | Some v -> hit key v
+              | Some v -> hit key.Cache.id v
               | None ->
                   (* A fork of the root: spans and counters of this request
                      land in its own buffer and registry, journal entries go
@@ -261,13 +261,13 @@ let compute t ~request_id ~trace_id endpoint (req : Http.request) =
                             content_type = o.Api.content_type;
                             body = o.Api.body;
                           };
-                      reply ~headers ~cache:"miss" ~spans ~model:key
+                      reply ~headers ~cache:"miss" ~spans ~model:key.Cache.id
                         ~trace_stored:retain o.Api.status o.Api.content_type
                         o.Api.body
                   | Error `Timeout ->
                       reply
                         ~headers:(("Retry-After", "1") :: headers)
-                        ~cache:"miss" ~spans ~model:key ~trace_stored:retain 503
+                        ~cache:"miss" ~spans ~model:key.Cache.id ~trace_stored:retain 503
                         "application/json" timeout_body))))
 
 let metrics_body t =

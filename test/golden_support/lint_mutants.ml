@@ -277,6 +277,15 @@ let codegen_goldens =
       ])
     [ ("crane", CS.Crane_system.model); ("synthetic", CS.Synthetic_system.model) ]
 
+(* The KPN source of crane at 5 rounds, computed as /api/generate/kpn
+   and `umlfront codegen -l kpn` compute it: the one generator that
+   reads positions, through the laid-out .mdl text it embeds. *)
+let kpn_golden () =
+  let module Api = Umlfront_serve.Api in
+  let opts = { Api.default_options with Api.rounds = 5 } in
+  let caam = Api.caam opts (CS.Crane_system.model ()) in
+  List.assoc "model_kpn.ml" (Api.files `Kpn opts caam)
+
 (* The renderable golden files, keyed by file name under test/golden/;
    golden_gen.exe prints one of these, the dune diff rules pin each
    byte-for-byte. *)
@@ -309,6 +318,7 @@ let goldens =
     ("openmetrics.labeled.txt", fun () -> openmetrics_golden ~labels:true ());
   ]
   @ codegen_goldens
+  @ [ ("codegen.crane.model_kpn.ml", kpn_golden) ]
 
 let golden_names = List.map fst goldens
 

@@ -160,6 +160,106 @@ let qcheck_flow_lint_clean =
          let out = Core.Flow.run uml in
          A.Lint.check ~uml out.Core.Flow.caam = []))
 
+(* --- synthesis without layout ----------------------------------------
+
+   Every endpoint but transform computes on Flow.synthesize's CAAM,
+   transform on Flow.run's laid-out one.  Both must be one model but
+   for the Position parameters, every reader of the former must answer
+   the same on either: lint, the C, Java, SystemC and KPN generators,
+   and the Exec.run oracle; and synthesis must reject what the flow
+   rejects. *)
+
+let without_positions (m : Model.t) =
+  {
+    m with
+    Model.root =
+      S.map_systems
+        (fun _ sys ->
+          {
+            sys with
+            S.sys_blocks =
+              List.map
+                (fun (b : S.block) ->
+                  { b with S.blk_params = List.remove_assoc "Position" b.S.blk_params })
+                sys.S.sys_blocks;
+          })
+        m.Model.root;
+  }
+
+(* [None] when both CAAMs agree, else the first reader that tells them
+   apart.  [compare], not [=]: a trace may hold NaN. *)
+let split_disagreement uml =
+  let module Gen = Umlfront_codegen in
+  let module Exec = Umlfront_dataflow.Exec in
+  let synthesized = Core.Flow.synthesize uml and laid_out = (Core.Flow.run uml).Core.Flow.caam in
+  let same name read =
+    if compare (read synthesized) (read laid_out) = 0 then None else Some name
+  in
+  List.find_map Fun.id
+    [
+      (if synthesized = without_positions synthesized then None
+       else Some "the synthesized model has positions");
+      same "the model without positions" without_positions;
+      same "lint" (A.Lint.check ~uml);
+      same "C" (fun m -> (Gen.Gen_threads.generate ~rounds:5 m).Gen.Gen_threads.files);
+      same "Java" (Gen.Gen_java.generate ~rounds:5);
+      same "SystemC" (Gen.Gen_systemc.generate ~rounds:5);
+      same "KPN" (Gen.Gen_kpn.generate ~rounds:5);
+      same "Exec.run" (fun m ->
+          let o = Exec.run ~rounds:10 (Sdf.of_model m) in
+          (o.Exec.traces, o.Exec.firings));
+    ]
+
+(* Only the FSM phase looks at statecharts; Validate merely warns. *)
+let malformed_statecharts =
+  let module Sc = U.Statechart in
+  [
+    Sc.make "empty" [] [];
+    Sc.make "dangling" [ Sc.state "A" ] [ Sc.transition ~source:"A" ~target:"B" () ];
+    Sc.make "twice" [ Sc.state "A"; Sc.state "A" ] [];
+  ]
+
+let split_tests =
+  let agree name model =
+    test (name ^ ": synthesis and the laid-out flow read alike") (fun () ->
+        check Alcotest.(option string) name None (split_disagreement (model ())))
+  in
+  [
+    test "synthesis rejects a malformed statechart as the flow does" (fun () ->
+        List.iter
+          (fun (chart : U.Statechart.t) ->
+            let uml = { (CS.Crane_system.model ()) with U.Model.statecharts = [ chart ] } in
+            let rejection f =
+              match f uml with _ -> None | exception Invalid_argument m -> Some m
+            in
+            let name = chart.U.Statechart.sc_name in
+            let flow = rejection Core.Flow.run in
+            check Alcotest.bool (name ^ ": the flow rejects it") true (flow <> None);
+            check Alcotest.(option string) name flow (rejection Core.Flow.synthesize))
+          malformed_statecharts);
+    agree "crane" CS.Crane_system.model;
+    agree "synthetic" CS.Synthetic_system.model;
+    agree "elevator" CS.Elevator_system.model;
+    agree "mjpeg" CS.Mjpeg_system.model;
+    (* Drawn as "flow emits a lint-clean CAAM" draws its workloads. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"synthesis and the laid-out flow read alike on 100 random workloads"
+         ~count:100
+         (QCheck.make
+            ~print:(fun (wide, seed, a, b) ->
+              Printf.sprintf "(%s, seed %d, %d, %d)"
+                (if wide then "wide" else "pipeline")
+                seed a b)
+            QCheck.Gen.(quad bool (0 -- 1000) (2 -- 6) (0 -- 3)))
+         (fun (wide, seed, a, b) ->
+           let uml =
+             if wide then CS.Random_models.wide ~seed ~branches:(1 + b) ~depth:(a - 1)
+             else CS.Random_models.pipeline ~seed ~threads:a ~extra_edges:b
+           in
+           split_disagreement uml = None));
+  ]
+
 (* --- every bundled case study is lint-clean ------------------------- *)
 
 let case_study_tests =
@@ -355,6 +455,7 @@ let suite =
     ("analysis: sdf rules", sdf_tests);
     ("analysis: case studies", case_study_tests @ [ qcheck_flow_lint_clean ]);
     ("analysis: flow gate", gate_tests);
+    ("analysis: synthesis", split_tests);
     ("analysis: metrics", metrics_tests);
     ("analysis: golden reports", golden_tests);
     ("analysis: cli", cli_tests);

@@ -2,20 +2,19 @@
    compilation service.
 
    Layers under test, inside out:
-   - Sha256: FIPS 180-4 vectors and every padding edge (the cache key
-     depends on it), and what a digest allocates;
    - Http: the incremental codec — torn 1-byte reads, a head fed one
      byte per read in linear time, split terminators, pipelining,
      missing/duplicate Content-Length, header case-insensitivity, what
      decoding and encoding allocate, and the response serializer pinned
      byte-for-byte against a golden;
    - Cache: LRU semantics — recency, eviction order, byte bound,
-     hit/miss/eviction counters — and the raw index beside the
-     canonical one: byte-for-byte confirmation, request bodies in the
-     bound, eviction from both;
-   - Api: query-option decoding, the content-hash cache key over the
-     options each endpoint reads, and simulate on the compiled plan
-     against the Exec.run oracle;
+     hit/miss/eviction counters — and both indexes confirming a hit byte
+     for byte: two keys under one id, a colliding raw body, request
+     bodies and canonical XMI in the bound (held once when equal),
+     eviction from both;
+   - Api: query-option decoding, the cache key over the options each
+     endpoint reads and the canonical XMI, and simulate on the compiled
+     plan against the Exec.run oracle;
    - JSON round-trips: Diagnostic and Conform reports decode back to
      what was encoded, so the wire format the server shares with the
      CLI is invertible;
@@ -29,7 +28,6 @@
      cache (hit ratio > 0 in /metrics). *)
 
 module Http = Umlfront_serve.Http
-module Sha256 = Umlfront_serve.Sha256
 module Cache = Umlfront_serve.Cache
 module Api = Umlfront_serve.Api
 module Server = Umlfront_serve.Server
@@ -88,61 +86,6 @@ let allocated_words f =
     result )
 
 let word_bytes = float (Sys.word_size / 8)
-
-(* --- sha256 ---------------------------------------------------------- *)
-
-let sha256_tests =
-  [
-    test "FIPS 180-4 vectors" (fun () ->
-        check Alcotest.string "empty"
-          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-          (Sha256.hex "");
-        check Alcotest.string "abc"
-          "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-          (Sha256.hex "abc");
-        check Alcotest.string "448-bit"
-          "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-          (Sha256.hex "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
-        check Alcotest.string "quick brown fox"
-          "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592"
-          (Sha256.hex "The quick brown fox jumps over the lazy dog"));
-    test "million a's (multi-block, padding straddles blocks)" (fun () ->
-        check Alcotest.string "1e6 x 'a'"
-          "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-          (Sha256.hex (String.make 1_000_000 'a')));
-    test "length landing exactly on the padding boundary" (fun () ->
-        (* 55 and 56 bytes: the 56-byte message forces a second block
-           for the length word. *)
-        checkb "55 <> 56 digests"
-          (Sha256.hex (String.make 55 'x') <> Sha256.hex (String.make 56 'x'));
-        check Alcotest.int "hex length" 64 (String.length (Sha256.hex "x"));
-        (* Every padding edge, pinned against sha256sum: a tail of up
-           to 55 bytes past the last whole block pads to one block, one
-           of 56 to 63 bytes to two; 64 and 120 bytes leave an empty
-           tail and a 56-byte one. *)
-        List.iter
-          (fun (n, want) ->
-            check Alcotest.string
-              (Printf.sprintf "%d x 'a'" n)
-              want
-              (Sha256.hex (String.make n 'a')))
-          [
-            (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
-            (56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a");
-            (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34");
-            (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
-            (65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0");
-            (119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb");
-            (120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c");
-          ]);
-    test "hashing 16 KB allocates under 1,000 words" (fun () ->
-        (* Every cache miss keys its model with one digest; on boxed
-           int32 words a 16 KB digest allocated 82K words. *)
-        let msg = String.init 16_384 (fun i -> Char.chr (i land 0xff)) in
-        let words, digest = allocated_words (fun () -> Sha256.hex msg) in
-        check Alcotest.int "hex length" 64 (String.length digest);
-        checkb (Printf.sprintf "%.0f words allocated" words) (words < 1000.));
-  ]
 
 (* --- http codec ------------------------------------------------------ *)
 
@@ -395,49 +338,53 @@ let http_tests =
 
 let v body = { Cache.status = 200; content_type = "application/json"; body }
 
+(* A key with only an id: it costs its id's length in the bound. *)
+let k id = { Cache.id; options = ""; xmi = "" }
+
 let cache_tests =
   [
     test "hit and miss counters" (fun () ->
         let c = Cache.create ~max_bytes:4096 in
-        checkb "initial miss" (Cache.find c "k" = None);
-        Cache.add c "k" (v "body");
-        checkb "then hit" (Cache.find c "k" = Some (v "body"));
+        checkb "initial miss" (Cache.find c (k "k") = None);
+        Cache.add c (k "k") (v "body");
+        checkb "then hit" (Cache.find c (k "k") = Some (v "body"));
         let s = Cache.stats c in
         check Alcotest.int "hits" 1 s.Cache.hits;
         check Alcotest.int "misses" 1 s.Cache.misses;
         check Alcotest.int "entries" 1 s.Cache.entries);
     test "LRU eviction order respects recency" (fun () ->
-        (* Each entry costs body + 2*key + 64 = 100+2+64 = 166; bound to
+        (* Each entry costs body + id + 64 = 100+1+64 = 165; bound to
            two entries. *)
         let c = Cache.create ~max_bytes:340 in
-        Cache.add c "a" (v (String.make 100 'a'));
-        Cache.add c "b" (v (String.make 100 'b'));
-        ignore (Cache.find c "a");
+        Cache.add c (k "a") (v (String.make 100 'a'));
+        Cache.add c (k "b") (v (String.make 100 'b'));
+        check Alcotest.int "two entries held" 330 (Cache.stats c).Cache.bytes;
+        ignore (Cache.find c (k "a"));
         (* "b" is now least recently used: adding "c" evicts it. *)
-        Cache.add c "c" (v (String.make 100 'c'));
-        checkb "a survives (recently used)" (Cache.find c "a" <> None);
-        checkb "b evicted" (Cache.find c "b" = None);
-        checkb "c present" (Cache.find c "c" <> None);
+        Cache.add c (k "c") (v (String.make 100 'c'));
+        checkb "a survives (recently used)" (Cache.find c (k "a") <> None);
+        checkb "b evicted" (Cache.find c (k "b") = None);
+        checkb "c present" (Cache.find c (k "c") <> None);
         check Alcotest.int "evictions" 1 (Cache.stats c).Cache.evictions);
     test "oversized value is skipped, replacement reuses the slot" (fun () ->
         let c = Cache.create ~max_bytes:200 in
-        Cache.add c "big" (v (String.make 400 'x'));
-        checkb "not stored" (Cache.find c "big" = None);
-        Cache.add c "k" (v "one");
-        Cache.add c "k" (v "two");
-        checkb "replaced" (Cache.find c "k" = Some (v "two"));
+        Cache.add c (k "big") (v (String.make 400 'x'));
+        checkb "not stored" (Cache.find c (k "big") = None);
+        Cache.add c (k "k") (v "one");
+        Cache.add c (k "k") (v "two");
+        checkb "replaced" (Cache.find c (k "k") = Some (v "two"));
         check Alcotest.int "one entry" 1 (Cache.stats c).Cache.entries);
     test "max_bytes <= 0 disables storage" (fun () ->
         let c = Cache.create ~max_bytes:0 in
-        Cache.add c "k" (v "body");
-        checkb "nothing stored" (Cache.find c "k" = None);
-        Cache.add ~raw:("r", "request") c "k" (v "body");
+        Cache.add c (k "k") (v "body");
+        checkb "nothing stored" (Cache.find c (k "k") = None);
+        Cache.add ~raw:("r", "request") c (k "k") (v "body");
         checkb "nothing stored under the raw key" (Cache.find_raw c "r" "request" = None);
         check Alcotest.int "no entries" 0 (Cache.stats c).Cache.entries);
     test "raw index: a body colliding on the raw key never gets another's reply"
       (fun () ->
         let c = Cache.create ~max_bytes:4096 in
-        Cache.add ~raw:("digest", "first body") c "k1" (v "first reply");
+        Cache.add ~raw:("digest", "first body") c (k "k1") (v "first reply");
         checkb "the other body misses" (Cache.find_raw c "digest" "second body" = None);
         checkb "a prefix misses" (Cache.find_raw c "digest" "first" = None);
         checkb "the stored body hits"
@@ -448,34 +395,35 @@ let cache_tests =
         check Alcotest.int "raw misses count nothing" 0 s.Cache.misses;
         (* The second body fills its own entry under the same raw key:
            each body now finds only its own reply. *)
-        Cache.add ~raw:("digest", "second body") c "k2" (v "second reply");
+        Cache.add ~raw:("digest", "second body") c (k "k2") (v "second reply");
         checkb "the newer body hits"
           (Cache.find_raw c "digest" "second body" = Some ("k2", v "second reply"));
         checkb "the older body misses" (Cache.find_raw c "digest" "first body" = None));
     test "raw index: the request body counts against the bound" (fun () ->
         let c = Cache.create ~max_bytes:4096 in
-        Cache.add c "k" (v "reply");
+        Cache.add c (k "k") (v "reply");
         let plain = (Cache.stats c).Cache.bytes in
-        Cache.add ~raw:("raw", String.make 1000 'q') c "k" (v "reply");
-        check Alcotest.int "body and raw key counted" (plain + 1000 + (2 * 3))
+        Cache.add ~raw:("raw", String.make 1000 'q') c (k "k") (v "reply");
+        check Alcotest.int "body and raw key counted" (plain + 1000 + 3)
           (Cache.stats c).Cache.bytes;
-        (* 100 reply + 2*1 key + 64 = 166 fits a 300-byte bound alone;
+        (* 100 reply + 1 id + 64 = 165 fits a 300-byte bound alone;
            with a 200-byte request and its raw key it does not. *)
         let c = Cache.create ~max_bytes:300 in
-        Cache.add ~raw:("r", String.make 200 'q') c "k" (v (String.make 100 'a'));
-        checkb "not in the canonical index" (Cache.find c "k" = None);
+        Cache.add ~raw:("r", String.make 200 'q') c (k "k") (v (String.make 100 'a'));
+        checkb "not in the canonical index" (Cache.find c (k "k") = None);
         checkb "not in the raw index" (Cache.find_raw c "r" (String.make 200 'q') = None);
         check Alcotest.int "nothing held" 0 (Cache.stats c).Cache.bytes);
     test "raw index: eviction removes an entry from both indexes" (fun () ->
-        (* Each entry costs 100 + 2*1 + 64 + 10 + 2*2 = 180: room for two. *)
+        (* Each entry costs 100 + 1 + 64 + 10 + 2 = 177: room for two. *)
         let c = Cache.create ~max_bytes:400 in
         let request k = String.make 10 k in
-        Cache.add ~raw:("ra", request 'a') c "a" (v (String.make 100 'a'));
-        Cache.add ~raw:("rb", request 'b') c "b" (v (String.make 100 'b'));
-        Cache.add ~raw:("rc", request 'c') c "c" (v (String.make 100 'c'));
+        Cache.add ~raw:("ra", request 'a') c (k "a") (v (String.make 100 'a'));
+        Cache.add ~raw:("rb", request 'b') c (k "b") (v (String.make 100 'b'));
+        check Alcotest.int "two entries held" 354 (Cache.stats c).Cache.bytes;
+        Cache.add ~raw:("rc", request 'c') c (k "c") (v (String.make 100 'c'));
         check Alcotest.int "one eviction" 1 (Cache.stats c).Cache.evictions;
         checkb "a gone from the raw index" (Cache.find_raw c "ra" (request 'a') = None);
-        checkb "a gone from the canonical index" (Cache.find c "a" = None);
+        checkb "a gone from the canonical index" (Cache.find c (k "a") = None);
         checkb "b still raw" (Cache.find_raw c "rb" (request 'b') <> None);
         checkb "c still raw" (Cache.find_raw c "rc" (request 'c') <> None);
         check Alcotest.int "two entries" 2 (Cache.stats c).Cache.entries);
@@ -483,7 +431,7 @@ let cache_tests =
         let body = String.init 15_000 (fun i -> Char.chr (32 + (i mod 90))) in
         let opts = Api.default_options in
         let c = Cache.create ~max_bytes:(1024 * 1024) in
-        Cache.add ~raw:(Api.raw_key Api.Lint opts body, body) c "key" (v "reply");
+        Cache.add ~raw:(Api.raw_key Api.Lint opts body, body) c (k "key") (v "reply");
         let probe = Bytes.to_string (Bytes.of_string body) in
         let words, found =
           allocated_words (fun () ->
@@ -491,6 +439,87 @@ let cache_tests =
         in
         checkb "hit" (found = Some ("key", v "reply"));
         checkb (Printf.sprintf "%.0f words allocated" words) (words < 1000.));
+    test "two keys with one id answer only their own reply" (fun () ->
+        let key endpoint xmi =
+          Api.cache_key endpoint Api.default_options (U.Xmi.of_string (Lazy.force xmi))
+        in
+        let first = key Api.Lint didactic_xmi in
+        let other_xmi = { (key Api.Lint crane_xmi) with Cache.id = first.Cache.id } in
+        let other_options =
+          { (key Api.Transform didactic_xmi) with Cache.id = first.Cache.id }
+        in
+        checkb "the forgeries differ from the first key in their material"
+          (other_xmi.Cache.xmi <> first.Cache.xmi
+          && other_options.Cache.options <> first.Cache.options);
+        let c = Cache.create ~max_bytes:(1024 * 1024) in
+        Cache.add c first (v "first reply");
+        checkb "another XMI under the id misses" (Cache.find c other_xmi = None);
+        checkb "other options under the id miss" (Cache.find c other_options = None);
+        checkb "the first key still hits" (Cache.find c first = Some (v "first reply"));
+        let s = Cache.stats c in
+        check Alcotest.int "two misses" 2 s.Cache.misses;
+        check Alcotest.int "one hit" 1 s.Cache.hits);
+    test "a canonical XMI equal to the filling body is held once" (fun () ->
+        let o = Api.default_options in
+        let xmi = Lazy.force didactic_xmi in
+        let key = Api.cache_key Api.Lint o (U.Xmi.of_string xmi) in
+        check Alcotest.string "the body is canonical" xmi key.Cache.xmi;
+        let held body =
+          let c = Cache.create ~max_bytes:(1024 * 1024) in
+          let raw = Api.raw_key Api.Lint o body in
+          Cache.add ~raw:(raw, body) c key (v "reply");
+          ( (Cache.stats c).Cache.bytes,
+            String.length "reply" + String.length key.Cache.id
+            + String.length key.Cache.options + 64 + String.length raw
+            + String.length body )
+        in
+        let bytes, fixed = held xmi in
+        check Alcotest.int "the XMI counts once" fixed bytes;
+        let variant = replace_all ~sub:"\n" ~by:"\n  " xmi in
+        let bytes, fixed = held variant in
+        check Alcotest.int "a non-canonical body counts both" (fixed + String.length xmi)
+          bytes;
+        (* Without a body the XMI counts on its own. *)
+        let c = Cache.create ~max_bytes:(1024 * 1024) in
+        Cache.add c key (v "reply");
+        check Alcotest.int "no body: the XMI alone"
+          (String.length "reply" + String.length key.Cache.id
+          + String.length key.Cache.options + 64 + String.length xmi)
+          (Cache.stats c).Cache.bytes);
+    test "whitespace variants fit at least half the entries canonical bodies fit"
+      (fun () ->
+        (* Edit traffic at one bound: distinct models, lint and
+           transform alternating, with real replies.  An entry a
+           non-canonical body fills holds its canonical XMI too. *)
+        let o = Api.default_options in
+        let fill variant =
+          let c = Cache.create ~max_bytes:(256 * 1024) in
+          for i = 0 to 39 do
+            let endpoint = if i land 1 = 0 then Api.Lint else Api.Transform in
+            let model =
+              CS.Random_models.pipeline ~seed:i ~threads:(4 + (i mod 8)) ~extra_edges:1
+            in
+            let body = variant (U.Xmi.to_string model) in
+            let uml = U.Xmi.of_string body in
+            let r = Api.run endpoint o uml in
+            Cache.add
+              ~raw:(Api.raw_key endpoint o body, body)
+              c (Api.cache_key endpoint o uml)
+              {
+                Cache.status = r.Api.status;
+                content_type = r.Api.content_type;
+                body = r.Api.body;
+              }
+          done;
+          Cache.stats c
+        in
+        let canonical = fill Fun.id and variant = fill (replace_all ~sub:"\n" ~by:"\n  ") in
+        checkb "both fills evict" (canonical.Cache.evictions > 0 && variant.Cache.evictions > 0);
+        checkb
+          (Printf.sprintf "%d variant entries against %d canonical" variant.Cache.entries
+             canonical.Cache.entries)
+          (variant.Cache.entries < canonical.Cache.entries
+          && 2 * variant.Cache.entries >= canonical.Cache.entries));
   ]
 
 (* --- api options and cache key --------------------------------------- *)
@@ -540,24 +569,20 @@ let api_tests =
         in
         let m1 = U.Xmi.of_string xmi and m2 = U.Xmi.of_string reparsed in
         let o = Api.default_options in
-        check Alcotest.string "same model, same key"
-          (Api.cache_key Api.Lint o m1)
-          (Api.cache_key Api.Lint o m2);
-        checkb "endpoint changes the key"
-          (Api.cache_key Api.Lint o m1 <> Api.cache_key Api.Transform o m1);
+        let id e o m = (Api.cache_key e o m).Cache.id in
+        check Alcotest.string "same model, same key" (id Api.Lint o m1) (id Api.Lint o m2);
+        checkb "endpoint changes the key" (id Api.Lint o m1 <> id Api.Transform o m1);
         checkb "rounds change the key"
-          (Api.cache_key Api.Simulate o m1
-          <> Api.cache_key Api.Simulate { o with Api.rounds = 11 } m1);
+          (id Api.Simulate o m1 <> id Api.Simulate { o with Api.rounds = 11 } m1);
         checkb "strategy changes the key"
-          (Api.cache_key Api.Lint o m1
-          <> Api.cache_key Api.Lint { o with Api.strategy = Core.Flow.Infer_linear } m1);
+          (id Api.Lint o m1
+          <> id Api.Lint { o with Api.strategy = Core.Flow.Infer_linear } m1);
         checkb "different models differ"
-          (Api.cache_key Api.Lint o m1
-          <> Api.cache_key Api.Lint o (U.Xmi.of_string (Lazy.force crane_xmi)));
+          (id Api.Lint o m1 <> id Api.Lint o (U.Xmi.of_string (Lazy.force crane_xmi)));
         (* Each endpoint's key holds only the options it reads. *)
         let key e query =
           match Api.options_of_query query with
-          | Ok o -> Api.cache_key e o m1
+          | Ok o -> id e o m1
           | Error msg -> Alcotest.fail msg
         in
         let same what e q = check Alcotest.string what (key e []) (key e q) in
@@ -611,7 +636,7 @@ let api_tests =
               List.map
                 (fun q ->
                   match Api.options_of_query q with
-                  | Ok o -> (Api.cache_key e o uml, Api.raw_key e o xmi)
+                  | Ok o -> ((Api.cache_key e o uml).Cache.id, Api.raw_key e o xmi)
                   | Error msg -> Alcotest.fail msg)
                 queries)
             Api.all_endpoints
@@ -1051,7 +1076,10 @@ let e2e_tests =
          let hit, miss = totals 200 in
          check Alcotest.int "hits" 3 hit;
          check Alcotest.int "misses" 1 miss);
-        let key = Api.cache_key Api.Lint Api.default_options (U.Xmi.of_string xmi) in
+        let key =
+          (Api.cache_key Api.Lint Api.default_options (U.Xmi.of_string xmi)).Cache.id
+        in
+        check Alcotest.int "the key id is 32 hex digits" 32 (String.length key);
         let models =
           read_file path |> String.split_on_char '\n'
           |> List.filter_map (fun line ->
@@ -1200,6 +1228,26 @@ let e2e_tests =
               (try Unix.read fd buf 0 (Bytes.length buf)
                with Unix.Unix_error _ -> -1))
           [ 2; 0 ]);
+    test "a malformed statechart is 422 UF902 on every endpoint and fails the CLI lint"
+      (fun () ->
+        with_server @@ fun s ->
+        let empty = U.Statechart.make "S" [] [] in
+        let xmi =
+          U.Xmi.to_string { (CS.Didactic.model ()) with U.Model.statecharts = [ empty ] }
+        in
+        let rejected = (post s "/api/transform" xmi).Client.body in
+        checkb "UF902" (Astring_contains.contains rejected "UF902");
+        List.iter
+          (fun endpoint ->
+            let target = "/api/" ^ Api.endpoint_name endpoint in
+            let r = post s target xmi in
+            check Alcotest.int (target ^ " status") 422 r.Client.status;
+            check Alcotest.string (target ^ " body") rejected r.Client.body)
+          Api.all_endpoints;
+        let file = save_xmi xmi in
+        let code, _ = run_cli ("lint " ^ Filename.quote file) in
+        Sys.remove file;
+        checkb "umlfront lint fails" (code <> 0));
   ]
 
 (* --- the hammer ------------------------------------------------------ *)
@@ -1544,11 +1592,37 @@ let obs_e2e_tests =
           lines;
         checkb "endpoints recorded"
           (Astring_contains.contains (read_file path) "\"/api/lint\""));
+    test "a traced lint miss skips layout and emit; transform runs them; kpn prints once"
+      (fun () ->
+        with_server @@ fun s ->
+        let xmi = Lazy.force didactic_xmi in
+        let spans target =
+          let r = post s (target ^ "?trace=1") xmi in
+          check Alcotest.(option string) (target ^ " misses") (Some "miss")
+            (Client.header r "x-cache");
+          let tr = Client.trace ~port:(Server.port s) (Option.get (Client.request_id r)) in
+          List.filter_map
+            (fun e ->
+              match Json.member "name" e with Some (Json.String n) -> Some n | _ -> None)
+            (Json.items (Option.get (Json.member "traceEvents" (Json.parse_exn tr.Client.body))))
+        in
+        let lint = spans "/api/lint" and transform = spans "/api/transform" in
+        let kpn = spans "/api/generate/kpn" in
+        checkb "lint runs the flow" (List.mem "flow.run" lint);
+        checkb "lint runs the barriers" (List.mem "flow.barriers" lint);
+        List.iter
+          (fun name ->
+            checkb ("lint has no " ^ name) (not (List.mem name lint));
+            checkb ("transform has " ^ name) (List.mem name transform))
+          [ "flow.layout"; "flow.emit"; "mdl.write" ];
+        checkb "kpn has no flow.layout or flow.emit"
+          (not (List.mem "flow.layout" kpn || List.mem "flow.emit" kpn));
+        check Alcotest.int "kpn prints the .mdl text once" 1
+          (List.length (List.filter (String.equal "mdl.write") kpn)));
   ]
 
 let suite =
   [
-    ("serve:sha256", sha256_tests);
     ("serve:http", http_tests);
     ("serve:cache", cache_tests);
     ("serve:api", api_tests);
