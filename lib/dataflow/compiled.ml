@@ -453,15 +453,24 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds
         scatter_seq i p.n_prod.(i) outs);
     if tracing then replay_tokens i round
   in
+  (* With spans on, each round's time goes into [round_us], one clock
+     read per round (a round ends where the next starts), and the run
+     records them all at once. *)
   let run_sequential () =
+    let round_us = Array.make (if observing then rounds else 0) 0.0 in
+    let last = ref (if observing then Obs.Trace.now_us () else 0.0) in
     for round = 0 to rounds - 1 do
-      let t0 = if observing then Obs.Trace.now_us () else 0.0 in
       let ord = p.order in
       for k = 0 to Array.length ord - 1 do
         fire_seq ord.(k) round
       done;
-      if observing then Obs.Metrics.observe "compiled.round_us" (Obs.Trace.now_us () -. t0)
-    done
+      if observing then begin
+        let now = Obs.Trace.now_us () in
+        round_us.(round) <- now -. !last;
+        last := now
+      end
+    done;
+    Obs.Metrics.observe_all "compiled.round_us" round_us
   in
   (* ---- batched work-stealing parallel engine ---- *)
   let fire_par i gr =

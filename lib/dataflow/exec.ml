@@ -297,18 +297,26 @@ let run ?sfunctions ?stimulus ~rounds sdf =
   let traces =
     List.map (fun name -> (name, Array.make rounds 0.0)) sdf.Sdf.graph_outputs
   in
+  (* Round times as in Compiled.run_plan: one clock read per round,
+     recorded at once after the loop. *)
   let observing = Obs.Trace.enabled () in
+  let round_us = Array.make (if observing then rounds else 0) 0.0 in
+  let last = ref (if observing then Obs.Trace.now_us () else 0.0) in
   for round = 0 to rounds - 1 do
-    let t0 = if observing then Obs.Trace.now_us () else 0.0 in
     let samples = step session ~stimulus:(fun name -> stimulus name round) in
-    if observing then Obs.Metrics.observe "exec.round_us" (Obs.Trace.now_us () -. t0);
     List.iter
       (fun (port, v) ->
         match List.assoc_opt port traces with
         | Some arr -> arr.(round) <- v
         | None -> ())
-      samples
+      samples;
+    if observing then begin
+      let now = Obs.Trace.now_us () in
+      round_us.(round) <- now -. !last;
+      last := now
+    end
   done;
+  Obs.Metrics.observe_all "exec.round_us" round_us;
   let firings =
     List.map
       (fun (a : Sdf.actor) ->

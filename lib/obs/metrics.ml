@@ -3,9 +3,13 @@
    unconditionally: recording is a hashtable lookup plus a couple of
    field writes.
 
-   Histograms keep exact count/sum/min/max plus a bounded sample buffer
-   (ring of the most recent [max_samples]) from which p50/p95/p99 are
-   computed on snapshot.
+   Histograms keep exact count/sum/min/max plus a bounded sample of at
+   most [max_samples] values, from which p50/p95/p99 are computed on
+   snapshot.  Until a histogram receives a merge, [observe] keeps the
+   most recent [max_samples] in a ring; from its first merge on it
+   keeps a bottom-k heap (see [merge]).  The array starts empty and
+   doubles up to [max_samples] as samples arrive, so a short-lived
+   registry pays for the samples it holds, not for 64 KB.
 
    Every registry carries its own mutex: recordings arrive from worker
    domains (Umlfront_parallel pools running instrumented passes), so
@@ -19,8 +23,11 @@ type histogram = {
   mutable h_sum : float;
   mutable h_min : float;
   mutable h_max : float;
-  h_ring : float array;
-  mutable h_next : int; (* next write slot in the ring *)
+  mutable h_vals : float array;
+      (* the kept samples, [min h_count max_samples] of them: a ring
+         written at [h_count mod max_samples], or a heap *)
+  mutable h_keys : int array; (* heap only: [sample_key] of each kept sample *)
+  mutable h_heap : bool; (* has received a merge *)
 }
 
 type metric =
@@ -78,99 +85,166 @@ let set_gauge ?registry:r name v =
   | Gauge g -> g.g <- v
   | Counter _ | Histogram _ -> invalid_arg ("metrics: " ^ name ^ " is not a gauge")
 
-let observe ?registry:r name v =
-  let make () =
-    Histogram
-      {
-        h_count = 0;
-        h_sum = 0.0;
-        h_min = Float.infinity;
-        h_max = Float.neg_infinity;
-        h_ring = Array.make max_samples 0.0;
-        h_next = 0;
-      }
+(* A merge keeps a bottom-k sample: of every sample offered to a
+   merged histogram, the [max_samples] that order first by
+   ([sample_key], value).  The key is a 63-bit mix of the sample's bits
+   (murmur3's fmix64), unrelated to magnitude, so the kept samples are
+   a uniform subsample of everything merged and quantiles stay
+   unbiased; and the kept multiset is a function of the multiset
+   offered, so merge order cannot change it.  Samples repeated bit for
+   bit share a key.  The mixes are written out, and the function
+   inlined, so that no float or int64 is boxed. *)
+let[@inline] sample_key v =
+  let z = Int64.bits_of_float v in
+  let z = Int64.logxor z (Int64.shift_right_logical z 33) in
+  let z = Int64.mul z 0xff51afd7ed558ccdL in
+  let z = Int64.logxor z (Int64.shift_right_logical z 33) in
+  let z = Int64.mul z 0xc4ceb9fe1a85ec53L in
+  Int64.to_int (Int64.logxor z (Int64.shift_right_logical z 33))
+
+(* The kept samples of a merged histogram form a binary max-heap in
+   that order, its last-kept sample on top.  The sift loops compare and
+   move slots by index, so no sample crosses a call and none is boxed. *)
+let[@inline] after h i j =
+  let ki = h.h_keys.(i) and kj = h.h_keys.(j) in
+  ki > kj || (ki = kj && Float.compare h.h_vals.(i) h.h_vals.(j) > 0)
+
+let[@inline] swap h i j =
+  let v = h.h_vals.(i) and k = h.h_keys.(i) in
+  h.h_vals.(i) <- h.h_vals.(j);
+  h.h_keys.(i) <- h.h_keys.(j);
+  h.h_vals.(j) <- v;
+  h.h_keys.(j) <- k
+
+let rec sift_up h i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && after h i parent then begin
+    swap h i parent;
+    sift_up h parent
+  end
+
+(* Restore the heap below slot [i] of a heap of [n] samples. *)
+let rec sift_down h n i =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && after h (l + 1) l then l + 1 else l in
+    if after h c i then begin
+      swap h c i;
+      sift_down h n c
+    end
+  end
+
+(* Double the arrays, up to [max_samples] slots. *)
+let grow h =
+  let cap = Int.min max_samples (Int.max 16 (2 * Array.length h.h_vals)) in
+  let widen a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
   in
-  let r = registry r in
-  Mutex.protect r.lock @@ fun () ->
-  match find_or_add r name make with
-  | Histogram h ->
-      h.h_count <- h.h_count + 1;
-      h.h_sum <- h.h_sum +. v;
-      if v < h.h_min then h.h_min <- v;
-      if v > h.h_max then h.h_max <- v;
-      h.h_ring.(h.h_next mod max_samples) <- v;
-      h.h_next <- h.h_next + 1
+  h.h_vals <- widen h.h_vals 0.0;
+  if h.h_heap then h.h_keys <- widen h.h_keys 0
+
+(* Turn a ring into a heap; done once, at a histogram's first merge. *)
+let to_heap h =
+  let n = Int.min h.h_count max_samples in
+  h.h_keys <- Array.init (Array.length h.h_vals) (fun i -> sample_key h.h_vals.(i));
+  h.h_heap <- true;
+  for i = (n / 2) - 1 downto 0 do
+    sift_down h n i
+  done
+
+(* Offer [v] to a heap that holds [n] samples: pushed while there is
+   room, else it replaces the top if it orders before it, else it is
+   dropped after one key. *)
+let[@inline] offer h n v =
+  let k = sample_key v in
+  if n < max_samples then begin
+    if n = Array.length h.h_vals then grow h;
+    h.h_vals.(n) <- v;
+    h.h_keys.(n) <- k;
+    sift_up h n
+  end
+  else if k < h.h_keys.(0) || (k = h.h_keys.(0) && Float.compare v h.h_vals.(0) < 0)
+  then begin
+    h.h_vals.(0) <- v;
+    h.h_keys.(0) <- k;
+    sift_down h n 0
+  end
+
+let new_histogram () =
+  Histogram
+    {
+      h_count = 0;
+      h_sum = 0.0;
+      h_min = Float.infinity;
+      h_max = Float.neg_infinity;
+      h_vals = [||];
+      h_keys = [||];
+      h_heap = false;
+    }
+
+let histogram r name =
+  match find_or_add r name new_histogram with
+  | Histogram h -> h
   | Counter _ | Gauge _ -> invalid_arg ("metrics: " ^ name ^ " is not a histogram")
 
-(* A merge that overflows the ring keeps a bottom-k sample: the
-   [max_samples] samples with the smallest [sample_key], a 63-bit mix
-   of the sample's bits (murmur3's fmix64) with the value as tie-break.
-   The key is unrelated to magnitude, so the kept samples are a uniform
-   subsample of everything merged and quantiles stay unbiased; and the
-   kept set is a function of the multiset of samples alone, so merge
-   order cannot change it.  Samples repeated bit for bit share a key
-   and are kept or dropped together. *)
-let sample_key v =
-  let mix z = Int64.logxor z (Int64.shift_right_logical z 33) in
-  let z = mix (Int64.bits_of_float v) in
-  let z = mix (Int64.mul z 0xff51afd7ed558ccdL) in
-  Int64.to_int (mix (Int64.mul z 0xc4ceb9fe1a85ec53L))
+(* One sample: the exact summaries, then the kept sample — the ring's
+   next slot, or an offer to the heap once the histogram is merged
+   into, so that what it keeps does not depend on whether its
+   observations came before or after its merges. *)
+let[@inline] record h v =
+  let seen = h.h_count in
+  h.h_count <- seen + 1;
+  h.h_sum <- h.h_sum +. v;
+  if v < h.h_min then h.h_min <- v;
+  if v > h.h_max then h.h_max <- v;
+  if h.h_heap then offer h (Int.min seen max_samples) v
+  else begin
+    let slot = seen mod max_samples in
+    if slot = Array.length h.h_vals then grow h;
+    h.h_vals.(slot) <- v
+  end
 
-let by_key a b =
-  match Int.compare (sample_key a) (sample_key b) with
-  | 0 -> Float.compare a b
-  | c -> c
+let observe ?registry:r name v =
+  let r = registry r in
+  Mutex.protect r.lock @@ fun () -> record (histogram r name) v
 
-let key_sorted arr =
-  let rec from i =
-    i >= Array.length arr || (by_key arr.(i - 1) arr.(i) <= 0 && from (i + 1))
-  in
-  from 1
-
-(* The first [max_samples] of [a] and [b] in key order; sorts both in
-   place.  Merged rings are stored in key order, so in the common case
-   — a long-lived parent absorbing one small child — only the child is
-   sorted and the rest is a linear merge; a ring filled by [observe] is
-   sorted once. *)
-let bottom_k a b =
-  List.iter (fun arr -> if not (key_sorted arr) then Array.stable_sort by_key arr) [ a; b ];
-  let na = Array.length a and nb = Array.length b in
-  let i = ref 0 and j = ref 0 in
-  Array.init (min (na + nb) max_samples) (fun _ ->
-      if !j >= nb || (!i < na && by_key a.(!i) b.(!j) <= 0) then (
-        i := !i + 1;
-        a.(!i - 1))
-      else (
-        j := !j + 1;
-        b.(!j - 1)))
+(* [observe] of each sample in turn, under one lock and one lookup: a
+   loop that times its iterations into an array records them once. *)
+let observe_all ?registry:r name samples =
+  if Array.length samples > 0 then begin
+    let r = registry r in
+    Mutex.protect r.lock @@ fun () ->
+    let h = histogram r name in
+    for i = 0 to Array.length samples - 1 do
+      record h samples.(i)
+    done
+  end
 
 (* Merge [src] into [into]: counters add, gauges keep the max, and
-   histograms combine exact count/sum/min/max while their sample rings
-   are combined by [bottom_k].  Every combination rule is commutative
-   and associative, so merging per-domain child registries back into a
-   parent (Context.merge) is independent of the order the children
-   arrive in.  The source is snapshotted under its own lock before the
-   destination is locked, so no two registry locks are ever held
-   together. *)
+   histograms combine exact count/sum/min/max while each sample the
+   source keeps is offered to the destination's heap.  A merge costs
+   the source's samples: a full heap rejects a sample after one key
+   and takes one in O(log max_samples).  Every combination rule is
+   commutative and associative, so merging per-domain child registries
+   back into a parent (Context.merge) is independent of the order the
+   children arrive in.  The source is snapshotted under its own lock
+   before the destination is locked, so no two registry locks are ever
+   held together. *)
 let merge ~into src =
   if src != into then begin
     let entries =
       Mutex.protect src.lock (fun () ->
           List.rev_map
-            (fun name -> (name, Hashtbl.find src.table name))
+            (fun name ->
+              match Hashtbl.find src.table name with
+              | Counter c -> (name, `C c.c)
+              | Gauge g -> (name, `G g.g)
+              | Histogram h ->
+                  let kept = Array.sub h.h_vals 0 (Int.min h.h_count max_samples) in
+                  (name, `H (h.h_count, h.h_sum, h.h_min, h.h_max, kept)))
             src.names)
-    in
-    let copied =
-      List.map
-        (fun (name, m) ->
-          match m with
-          | Counter c -> (name, `C c.c)
-          | Gauge g -> (name, `G g.g)
-          | Histogram h ->
-              let kept = min h.h_count max_samples in
-              ( name,
-                `H (h.h_count, h.h_sum, h.h_min, h.h_max, Array.sub h.h_ring 0 kept) ))
-        entries
     in
     Mutex.protect into.lock @@ fun () ->
     List.iter
@@ -186,32 +260,18 @@ let merge ~into src =
             | Gauge g -> if v > g.g then g.g <- v
             | Counter _ | Histogram _ ->
                 invalid_arg ("metrics: " ^ name ^ " is not a gauge"))
-        | `H (count, sum, mn, mx, samples) -> (
-            let make () =
-              Histogram
-                {
-                  h_count = 0;
-                  h_sum = 0.0;
-                  h_min = Float.infinity;
-                  h_max = Float.neg_infinity;
-                  h_ring = Array.make max_samples 0.0;
-                  h_next = 0;
-                }
-            in
-            match find_or_add into name make with
-            | Histogram h ->
-                let kept = min h.h_count max_samples in
-                let combined = bottom_k (Array.sub h.h_ring 0 kept) samples in
-                let stored = Array.length combined in
-                Array.blit combined 0 h.h_ring 0 stored;
-                h.h_next <- stored;
-                h.h_count <- h.h_count + count;
-                h.h_sum <- h.h_sum +. sum;
-                if mn < h.h_min then h.h_min <- mn;
-                if mx > h.h_max then h.h_max <- mx
-            | Counter _ | Gauge _ ->
-                invalid_arg ("metrics: " ^ name ^ " is not a histogram")))
-      copied
+        | `H (count, sum, mn, mx, samples) ->
+            let h = histogram into name in
+            if not h.h_heap then to_heap h;
+            let seen = h.h_count in
+            for i = 0 to Array.length samples - 1 do
+              offer h (Int.min (seen + i) max_samples) samples.(i)
+            done;
+            h.h_count <- h.h_count + count;
+            h.h_sum <- h.h_sum +. sum;
+            if mn < h.h_min then h.h_min <- mn;
+            if mx > h.h_max then h.h_max <- mx)
+      entries
   end
 
 (* Percentile with linear interpolation between closest ranks, over a
@@ -273,8 +333,7 @@ let stat_of r name =
           s_p99 = Float.nan;
         }
   | Some (Histogram h) ->
-      let kept = min h.h_count max_samples in
-      let sorted = Array.sub h.h_ring 0 kept in
+      let sorted = Array.sub h.h_vals 0 (min h.h_count max_samples) in
       Array.sort Float.compare sorted;
       Some
         {

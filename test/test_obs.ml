@@ -130,6 +130,140 @@ let histogram_merge_overflow_is_unbiased () =
     [ h.Metrics.s_p50; h.Metrics.s_p95; h.Metrics.s_p99 ]
     [ r.Metrics.s_p50; r.Metrics.s_p95; r.Metrics.s_p99 ]
 
+(* The bottom-k sample a merge keeps, written out as the oracle: the
+   first [max_samples] of the pooled samples in ([sample_key], value)
+   order. *)
+let bottom_k pooled =
+  let keyed = Array.map (fun v -> (Metrics.sample_key v, v)) pooled in
+  Array.sort
+    (fun (ka, a) (kb, b) -> match Int.compare ka kb with 0 -> Float.compare a b | c -> c)
+    keyed;
+  Array.map snd (Array.sub keyed 0 (min (Array.length keyed) Metrics.max_samples))
+
+(* The snapshot of one histogram "h" whose exact summaries cover
+   [observed] and whose kept sample is [kept]. *)
+let expected_snapshot ~observed ~kept =
+  if observed = [||] then []
+  else
+    let sorted = Array.copy kept in
+    Array.sort Float.compare sorted;
+    let count = Array.length observed in
+    let sum = Array.fold_left ( +. ) 0.0 observed in
+    [
+      {
+        Metrics.s_name = "h";
+        s_kind = "histogram";
+        s_count = count;
+        s_value = sum /. float_of_int count;
+        s_min = Array.fold_left Float.min Float.infinity observed;
+        s_max = Array.fold_left Float.max Float.neg_infinity observed;
+        s_p50 = Metrics.percentile sorted 50.0;
+        s_p95 = Metrics.percentile sorted 95.0;
+        s_p99 = Metrics.percentile sorted 99.0;
+      };
+    ]
+
+let observed_into r xs =
+  Array.iter (Metrics.observe ~registry:r "h") xs;
+  r
+
+(* Random sources merged in a random order, nested: each step merges a
+   random registry into another, which may itself have received
+   merges, until one is left.  Its snapshot must be the one the oracle
+   computes from the samples each source keeps, its most recent
+   [max_samples].  The values are sixteenths, so every order of
+   summation is exact, and a quarter of them repeat one of eight
+   values. *)
+let merge_keeps_the_bottom_k =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"nested merges keep the bottom-k of every source's samples"
+       ~count:25
+       (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+       (fun seed ->
+         let st = Random.State.make [| seed |] in
+         let sample () =
+           if Random.State.int st 4 = 0 then float_of_int (Random.State.int st 8)
+           else float_of_int (Random.State.int st (1 lsl 20)) /. 16.0
+         in
+         let sources =
+           List.init
+             (1 + Random.State.int st 8)
+             (fun _ ->
+               let n =
+                 if Random.State.int st 8 = 0 then
+                   Metrics.max_samples + 1 + Random.State.int st 4_000
+                 else Random.State.int st 3_001
+               in
+               Array.init n (fun _ -> sample ()))
+         in
+         let rec fold = function
+           | [ r ] -> r
+           | rs ->
+               let n = List.length rs in
+               let i = Random.State.int st n in
+               let j = (i + 1 + Random.State.int st (n - 1)) mod n in
+               Metrics.merge ~into:(List.nth rs i) (List.nth rs j);
+               fold (List.filteri (fun k _ -> k <> j) rs)
+         in
+         let merged = fold (List.map (fun xs -> observed_into (fresh ()) xs) sources) in
+         let ring xs =
+           let n = Array.length xs in
+           let kept = min n Metrics.max_samples in
+           Array.sub xs (n - kept) kept
+         in
+         Metrics.snapshot ~registry:merged ()
+         = expected_snapshot ~observed:(Array.concat sources)
+             ~kept:(bottom_k (Array.concat (List.map ring sources)))))
+
+(* Observations into a histogram that a merge has filled are offered
+   to its heap: merging 8192 samples from [0, 1) and observing 8192
+   from [10, 11) keeps the same sample in either order. *)
+let observe_after_merge_is_order_independent () =
+  let st = Random.State.make [| 11 |] in
+  let draw lo =
+    Array.init Metrics.max_samples (fun _ ->
+        lo +. (float_of_int (Random.State.int st (1 lsl 20)) /. float_of_int (1 lsl 20)))
+  in
+  let low = draw 0.0 and high = draw 10.0 in
+  let source = observed_into (fresh ()) low in
+  let a = fresh () in
+  Metrics.merge ~into:a source;
+  ignore (observed_into a high : Metrics.t);
+  let b = observed_into (fresh ()) high in
+  Metrics.merge ~into:b source;
+  let sa = Metrics.snapshot ~registry:a () in
+  check Alcotest.bool "merge then observe = observe then merge" true
+    (sa = Metrics.snapshot ~registry:b ());
+  check Alcotest.bool "both keep the bottom-k of all samples" true
+    (sa
+    = expected_snapshot ~observed:(Array.append low high)
+        ~kept:(bottom_k (Array.append low high)))
+
+(* A merge costs the source's samples, not the destination's ring; a
+   fresh histogram does not start at [max_samples] slots.  OCaml 5
+   adds words allocated straight into the major heap to its count only
+   at the end of a major slice, so a full collection first keeps the
+   set-up's arrays out of the count. *)
+let histogram_allocation_bounds () =
+  let words f =
+    Gc.full_major ();
+    fst (Allocation.words f)
+  in
+  let st = Random.State.make [| 3 |] in
+  let filled n =
+    observed_into (fresh ()) (Array.init n (fun _ -> Random.State.float st 1000.0))
+  in
+  let root = fresh () in
+  Metrics.merge ~into:root (filled Metrics.max_samples);
+  let child = filled 500 in
+  let w = words (fun () -> Metrics.merge ~into:root child) in
+  if w >= 20_000.0 then
+    Alcotest.failf "merging 500 samples into a full heap allocated %.0f words" w;
+  let r = fresh () in
+  let w = words (fun () -> Metrics.observe ~registry:r "h" 1.0) in
+  if w >= 1_000.0 then
+    Alcotest.failf "the first observe into a fresh registry allocated %.0f words" w
+
 let percentile_edge_cases () =
   check feq "single sample" 7.0 (Metrics.percentile [| 7.0 |] 99.0);
   check feq "p0 is min" 1.0 (Metrics.percentile [| 1.0; 2.0; 3.0 |] 0.0);
@@ -611,6 +745,10 @@ let suite =
         test "counters and gauges" counters_and_gauges;
         test "histogram percentiles" histogram_percentiles;
         test "histogram merge overflow is unbiased" histogram_merge_overflow_is_unbiased;
+        merge_keeps_the_bottom_k;
+        test "observe after a merge is order-independent"
+          observe_after_merge_is_order_independent;
+        test "histogram allocation bounds" histogram_allocation_bounds;
         test "percentile edge cases" percentile_edge_cases;
         test "percentile tiny counts pinned" percentile_tiny_counts_pinned;
         test "kind mismatch rejected" kind_mismatch;

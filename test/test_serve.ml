@@ -71,20 +71,6 @@ let replace_all ~sub ~by s =
   go 0 false;
   Buffer.contents b
 
-(* Words [f] allocates on this domain, minor and major, and its result.
-   A minor collection on each side brings the counters up to date:
-   between collections they leave out the minor heap's current fill. *)
-let allocated_words f =
-  Gc.minor ();
-  let before = Gc.quick_stat () in
-  let result = f () in
-  Gc.minor ();
-  let after = Gc.quick_stat () in
-  ( after.Gc.minor_words -. before.Gc.minor_words
-    +. (after.Gc.major_words -. before.Gc.major_words)
-    -. (after.Gc.promoted_words -. before.Gc.promoted_words),
-    result )
-
 let word_bytes = float (Sys.word_size / 8)
 
 (* --- http codec ------------------------------------------------------ *)
@@ -206,7 +192,7 @@ let http_tests =
         let d = Http.decoder () in
         Http.feed d (Printf.sprintf "POST /x HTTP/1.1\r\nContent-Length: %d\r\n\r\n" size);
         let words, decoded =
-          allocated_words @@ fun () ->
+          Allocation.words @@ fun () ->
           List.filter_map
             (fun chunk ->
               Http.feed d chunk;
@@ -234,7 +220,7 @@ let http_tests =
         let d = Http.decoder () in
         let decoded = ref 0 in
         let words, () =
-          allocated_words @@ fun () ->
+          Allocation.words @@ fun () ->
           for _ = 1 to requests do
             let off = ref 0 in
             while !off < Bytes.length raw do
@@ -257,7 +243,7 @@ let http_tests =
     test "Http.response copies the body once" (fun () ->
         let body = String.make 15_000 'r' in
         let words, reply =
-          allocated_words (fun () ->
+          Allocation.words (fun () ->
               Http.response
                 ~headers:[ ("X-Cache", "hit"); ("X-Request-Id", "7") ]
                 ~status:200 body)
@@ -434,7 +420,7 @@ let cache_tests =
         Cache.add ~raw:(Api.raw_key Api.Lint opts body, body) c (k "key") (v "reply");
         let probe = Bytes.to_string (Bytes.of_string body) in
         let words, found =
-          allocated_words (fun () ->
+          Allocation.words (fun () ->
               Cache.find_raw c (Api.raw_key Api.Lint opts probe) probe)
         in
         checkb "hit" (found = Some ("key", v "reply"));
@@ -915,6 +901,29 @@ let e2e_tests =
         expect "/api/generate/c" [ "\"language\":\"c\""; "\"files\"" ];
         expect "/api/generate/java" [ "\"language\":\"java\""; "GeneratedModel.java" ];
         expect "/api/generate/kpn" [ "\"language\":\"kpn\""; "model_kpn.ml" ]);
+    test "/metrics counts every round of the served executors" (fun () ->
+        with_server @@ fun s ->
+        let xmi = Lazy.force didactic_xmi in
+        let miss target =
+          let r = post s target xmi in
+          check Alcotest.(option string) (target ^ " misses") (Some "miss")
+            (Client.header r "x-cache")
+        in
+        List.iter
+          (fun engine ->
+            List.iter
+              (fun n -> miss (Printf.sprintf "/api/simulate?rounds=%d%s" n engine))
+              [ 3; 7; 11 ])
+          [ ""; "&engine=seq" ];
+        miss "/api/conform?backends=seq,compiled&rounds=5";
+        let m = (get s "/metrics").Client.body in
+        (* The compiled plan runs each default simulate and conform's
+           compiled backend; Exec.run each engine=seq simulate, and
+           conform's reference and its seq backend. *)
+        check Alcotest.(option int) "compiled rounds" (Some (3 + 7 + 11 + 5))
+          (metrics_counter m "umlfront_compiled_round_us_count");
+        check Alcotest.(option int) "sequential rounds" (Some (3 + 7 + 11 + 5 + 5))
+          (metrics_counter m "umlfront_exec_round_us_count"));
     test "lint body is byte-identical to `umlfront lint --format json`" (fun () ->
         with_server @@ fun s ->
         List.iter
