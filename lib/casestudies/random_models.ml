@@ -7,7 +7,11 @@ let pipeline_gen ~cpus ~seed ~threads ~extra_edges =
   let state = Random.State.make [| seed |] in
   let prefix = if cpus > 0 then "cpu" else "rand" in
   let b = U.Builder.create (Printf.sprintf "%s%d" prefix seed) in
-  let name i = Printf.sprintf "T%c" (Char.chr (Char.code 'A' + i)) in
+  (* TA..TZ, then T26, T27, ...: letters and digits never collide. *)
+  let name i =
+    if i < 26 then Printf.sprintf "T%c" (Char.chr (Char.code 'A' + i))
+    else Printf.sprintf "T%d" i
+  in
   for i = 0 to threads - 1 do
     U.Builder.thread b (name i)
   done;

@@ -9,55 +9,69 @@ type outcome = {
   inter_channels : int;
 }
 
-let fresh_channel_name sys =
-  let rec try_name n =
-    let candidate = Printf.sprintf "ch%d" n in
-    if S.find_block sys candidate = None then candidate else try_name (n + 1)
-  in
-  try_name 1
-
-let splice_channel sys (l : S.line) protocol =
-  let name = fresh_channel_name sys in
-  let sys = S.remove_line sys ~src:l.S.src ~dst:l.S.dst in
-  let sys =
-    S.add_block
-      ~params:
-        [
-          (Caam.protocol_param, B.P_string protocol);
-          (Caam.role_param, B.P_string "comm");
-        ]
-      sys B.Channel name
-  in
-  let sys = S.add_line sys ~src:l.S.src ~dst:{ S.block = name; S.port = 1 } in
-  S.add_line sys ~src:{ S.block = name; S.port = 1 } ~dst:l.S.dst
-
 let run (m : Model.t) =
   let intra = ref 0 and inter = ref 0 in
   let channelize sys =
-    let role_of name =
-      match S.find_block sys name with Some b -> Caam.role_of_block b | None -> None
-    in
-    let candidates =
-      List.filter
+    let roles = Hashtbl.create 16 in
+    List.iter
+      (fun (b : S.block) ->
+        if not (Hashtbl.mem roles b.S.blk_name) then
+          Hashtbl.add roles b.S.blk_name (Caam.role_of_block b))
+      (S.blocks sys);
+    let role_of name = Option.join (Hashtbl.find_opt roles name) in
+    let kept, spliced =
+      List.partition_map
         (fun (l : S.line) ->
           match (role_of l.S.src.S.block, role_of l.S.dst.S.block) with
-          | Some Caam.Cpu, Some Caam.Cpu | Some Caam.Thread, Some Caam.Thread -> true
-          | _, _ -> false)
+          | Some Caam.Cpu, Some Caam.Cpu -> Right (l, "GFIFO", inter)
+          | Some Caam.Thread, Some Caam.Thread -> Right (l, "SWFIFO", intra)
+          | _, _ -> Left l)
         (S.lines sys)
     in
-    List.fold_left
-      (fun sys (l : S.line) ->
-        match role_of l.S.src.S.block with
-        | Some Caam.Cpu ->
-            incr inter;
-            splice_channel sys l "GFIFO"
-        | Some Caam.Thread ->
-            incr intra;
-            splice_channel sys l "SWFIFO"
-        | Some Caam.Comm | None -> sys)
-      sys candidates
+    if spliced = [] then sys
+    else
+      (* ch1, ch2, ... skipping the names the system already holds: the
+         names a fresh lookup per channel would pick. *)
+      let next = ref 0 in
+      let rec fresh () =
+        incr next;
+        let name = Printf.sprintf "ch%d" !next in
+        if Hashtbl.mem roles name then fresh () else name
+      in
+      let channels =
+        List.map
+          (fun ((l : S.line), protocol, count) ->
+            incr count;
+            let name = fresh () in
+            let port = { S.block = name; S.port = 1 } in
+            ( {
+                S.blk_name = name;
+                blk_type = B.Channel;
+                blk_params =
+                  [
+                    (Caam.protocol_param, B.P_string protocol);
+                    (Caam.role_param, B.P_string (Caam.role_to_string Caam.Comm));
+                  ];
+                blk_system = None;
+              },
+              [ { S.src = l.S.src; dst = port }; { S.src = port; dst = l.S.dst } ] ))
+          spliced
+      in
+      S.make sys.S.sys_name
+        (S.blocks sys @ List.map fst channels)
+        (kept @ List.concat_map snd channels)
   in
-  let root = S.map_systems (fun _path sys -> channelize sys) m.Model.root in
+  (* Only lines between CPU-SS or Thread-SS blocks are spliced, so a
+     system without a role-tagged block, such as every Thread-SS's own,
+     is left as it is. *)
+  let root =
+    S.map_systems
+      (fun _path sys ->
+        if List.exists (fun b -> Caam.role_of_block b <> None) (S.blocks sys) then
+          channelize sys
+        else sys)
+      m.Model.root
+  in
   {
     model = Model.make ~solver:m.Model.solver ~stop_time:m.Model.stop_time
         ~name:m.Model.model_name root;

@@ -114,7 +114,11 @@ let synthesis_phases ~style ~strategy uml =
   Log.debug (fun m ->
       m "allocation: %s"
         (String.concat ", " (List.map (fun (t, c) -> t ^ "->" ^ c) allocation)));
-  let mapped = phase "map" (fun () -> Mapping.run ~style ~allocation uml) in
+  let mapped =
+    phase "map" (fun () ->
+        Umlfront_uml.Validate.raise_first issues;
+        Mapping.run ~style ~allocation uml)
+  in
   let channelized =
     phase "channels" @@ fun () ->
     match style with

@@ -21,11 +21,12 @@ type link_dst = Dst_thread of string * int | Dst_model_out of string
 
 type thread_builder = {
   th_name : string;
-  mutable th_blocks : (string * B.t * (string * B.param) list) list;  (* reverse *)
+  mutable th_blocks : S.block list;  (* reverse *)
   th_env : (string, S.port_ref) Hashtbl.t;  (* token -> producing port *)
   mutable th_pending : (string * S.port_ref) list;  (* token -> consumer port *)
-  mutable th_inports : string list;  (* reverse; length = count *)
+  mutable th_inports : int;  (* In1 .. In<th_inports> *)
   mutable th_outports : (string * string) list;  (* reverse: (name, token fed) *)
+  mutable th_n_outports : int;
   th_names : (string, int) Hashtbl.t;  (* base name -> next suffix *)
 }
 
@@ -35,10 +36,18 @@ let new_thread_builder th_name =
     th_blocks = [];
     th_env = Hashtbl.create 8;
     th_pending = [];
-    th_inports = [];
+    th_inports = 0;
     th_outports = [];
+    th_n_outports = 0;
     th_names = Hashtbl.create 8;
   }
+
+let block ?(params = []) ?system ty name =
+  { S.blk_name = name; blk_type = ty; blk_params = params; blk_system = system }
+
+(* Boundary ports, numbered from 1 in the order they were added. *)
+let ports ty names =
+  List.mapi (fun i name -> block ~params:[ ("Port", B.P_int (i + 1)) ] ty name) names
 
 let looks_like_boundary_port base =
   let starts prefix =
@@ -60,22 +69,22 @@ let fresh_name tb base =
       base
   | Some n ->
       Hashtbl.replace tb.th_names base (n + 1);
-      Printf.sprintf "%s%d" base n
+      base ^ string_of_int n
 
 let provide tb token port =
   if not (Hashtbl.mem tb.th_env token) then Hashtbl.replace tb.th_env token port
 
 let add_inport tb token =
-  let idx = List.length tb.th_inports + 1 in
-  let name = Printf.sprintf "In%d" idx in
-  tb.th_inports <- name :: tb.th_inports;
-  provide tb token { S.block = name; S.port = 1 };
+  let idx = tb.th_inports + 1 in
+  tb.th_inports <- idx;
+  provide tb token { S.block = "In" ^ string_of_int idx; S.port = 1 };
   idx
 
 let add_outport tb token =
-  let idx = List.length tb.th_outports + 1 in
-  let name = Printf.sprintf "Out%d" idx in
+  let idx = tb.th_n_outports + 1 in
+  let name = "Out" ^ string_of_int idx in
   tb.th_outports <- (name, token) :: tb.th_outports;
+  tb.th_n_outports <- idx;
   idx
 
 let add_functional tb ~platform ~operation ~args ~result_token ~out_tokens =
@@ -109,7 +118,7 @@ let add_functional tb ~platform ~operation ~args ~result_token ~out_tokens =
             ("Outputs", B.P_int outputs);
           ] )
   in
-  tb.th_blocks <- (name, ty, params) :: tb.th_blocks;
+  tb.th_blocks <- block ~params ty name :: tb.th_blocks;
   List.iteri
     (fun i token ->
       tb.th_pending <- (token, { S.block = name; S.port = i + 1 }) :: tb.th_pending)
@@ -126,97 +135,74 @@ let add_functional tb ~platform ~operation ~args ~result_token ~out_tokens =
     out_tokens;
   name
 
+(* Wire consumers to token producers; feedback tokens resolve here
+   because all producers are registered by now. *)
 let build_thread_system tb =
-  let sys = S.empty tb.th_name in
-  let sys =
-    List.fold_left
-      (fun sys (i, name) ->
-        S.add_block ~params:[ ("Port", B.P_int i) ] sys B.Inport name)
-      sys
-      (List.rev tb.th_inports |> List.mapi (fun i n -> (i + 1, n)))
+  let wire token dst =
+    Option.map (fun src -> { S.src; dst }) (Hashtbl.find_opt tb.th_env token)
   in
-  let sys =
-    List.fold_left
-      (fun sys (name, ty, params) -> S.add_block ~params sys ty name)
-      sys (List.rev tb.th_blocks)
-  in
-  let sys =
-    List.fold_left
-      (fun sys (i, name) ->
-        S.add_block ~params:[ ("Port", B.P_int i) ] sys B.Outport name)
-      sys
-      (List.rev tb.th_outports |> List.mapi (fun i (n, _) -> (i + 1, n)))
-  in
-  (* Wire consumers to token producers; feedback tokens resolve here
-     because all producers are registered by now. *)
-  let sys =
-    List.fold_left
-      (fun sys (token, dst) ->
-        match Hashtbl.find_opt tb.th_env token with
-        | Some src -> S.add_line sys ~src ~dst
-        | None -> sys)
-      sys (List.rev tb.th_pending)
-  in
-  List.fold_left
-    (fun sys (name, token) ->
-      match Hashtbl.find_opt tb.th_env token with
-      | Some src -> S.add_line sys ~src ~dst:{ S.block = name; S.port = 1 }
-      | None -> sys)
-    sys (List.rev tb.th_outports)
+  let outports = List.rev tb.th_outports in
+  S.make tb.th_name
+    (ports B.Inport (List.init tb.th_inports (fun i -> "In" ^ string_of_int (i + 1)))
+    @ List.rev tb.th_blocks
+    @ ports B.Outport (List.map fst outports))
+    (List.filter_map (fun (token, dst) -> wire token dst) (List.rev tb.th_pending)
+    @ List.filter_map
+        (fun (name, token) -> wire token { S.block = name; S.port = 1 })
+        outports)
 
 (* Mutable assembler for CPU-level and top-level systems. *)
 type sys_builder = {
   sb_name : string;
   mutable sb_subsystems : (string * S.t * Caam.role) list;  (* reverse *)
   mutable sb_inports : string list;  (* reverse *)
-  mutable sb_outports : string list;
-  mutable sb_lines : (S.port_ref * S.port_ref) list;
+  mutable sb_n_inports : int;
+  mutable sb_outports : string list;  (* reverse *)
+  mutable sb_n_outports : int;
+  mutable sb_lines : S.line list;  (* reverse *)
 }
 
 let new_sys_builder sb_name =
-  { sb_name; sb_subsystems = []; sb_inports = []; sb_outports = []; sb_lines = [] }
+  {
+    sb_name;
+    sb_subsystems = [];
+    sb_inports = [];
+    sb_n_inports = 0;
+    sb_outports = [];
+    sb_n_outports = 0;
+    sb_lines = [];
+  }
 
 let sb_add_subsystem sb name sys role = sb.sb_subsystems <- (name, sys, role) :: sb.sb_subsystems
 
 let sb_add_inport ?name sb =
-  let idx = List.length sb.sb_inports + 1 in
-  let name = match name with Some n -> n | None -> Printf.sprintf "In%d" idx in
+  let idx = sb.sb_n_inports + 1 in
+  let name = match name with Some n -> n | None -> "In" ^ string_of_int idx in
   sb.sb_inports <- name :: sb.sb_inports;
+  sb.sb_n_inports <- idx;
   (idx, name)
 
 let sb_add_outport ?name sb =
-  let idx = List.length sb.sb_outports + 1 in
-  let name = match name with Some n -> n | None -> Printf.sprintf "Out%d" idx in
+  let idx = sb.sb_n_outports + 1 in
+  let name = match name with Some n -> n | None -> "Out" ^ string_of_int idx in
   sb.sb_outports <- name :: sb.sb_outports;
+  sb.sb_n_outports <- idx;
   (idx, name)
 
-let sb_line sb src dst = sb.sb_lines <- (src, dst) :: sb.sb_lines
+let sb_line sb src dst = sb.sb_lines <- { S.src; dst } :: sb.sb_lines
 
 let sb_build ~mark_roles sb =
-  let sys = S.empty sb.sb_name in
-  let sys =
-    List.fold_left
-      (fun sys (i, name) ->
-        S.add_block ~params:[ ("Port", B.P_int i) ] sys B.Inport name)
-      sys
-      (List.rev sb.sb_inports |> List.mapi (fun i n -> (i + 1, n)))
+  let subsystem (name, nested, role) =
+    let params =
+      if mark_roles then [ (Caam.role_param, B.P_string (Caam.role_to_string role)) ]
+      else []
+    in
+    block ~params ~system:(S.rename_system nested name) B.Subsystem name
   in
-  let sys =
-    List.fold_left
-      (fun sys (name, nested, role) ->
-        let sys = S.add_block ~system:(S.rename_system nested name) sys B.Subsystem name in
-        if mark_roles then Caam.mark sys name role else sys)
-      sys
-      (List.rev sb.sb_subsystems)
-  in
-  let sys =
-    List.fold_left
-      (fun sys (i, name) ->
-        S.add_block ~params:[ ("Port", B.P_int i) ] sys B.Outport name)
-      sys
-      (List.rev sb.sb_outports |> List.mapi (fun i n -> (i + 1, n)))
-  in
-  List.fold_left (fun sys (src, dst) -> S.add_line sys ~src ~dst) sys
+  S.make sb.sb_name
+    (ports B.Inport (List.rev sb.sb_inports)
+    @ List.rev_map subsystem sb.sb_subsystems
+    @ ports B.Outport (List.rev sb.sb_outports))
     (List.rev sb.sb_lines)
 
 let io_port_name (m : U.Sequence.message) =
@@ -227,7 +213,6 @@ let io_port_name (m : U.Sequence.message) =
   if stripped = "" then m.U.Sequence.msg_to else stripped
 
 let run ?(style = Caam) ~allocation uml =
-  U.Validate.check_exn uml;
   let trace = Trace.create () in
   let threads = U.Model.threads uml in
   List.iter
@@ -237,6 +222,21 @@ let run ?(style = Caam) ~allocation uml =
     threads;
   let builders = List.map (fun th -> (th, new_thread_builder th)) threads in
   let builder th = List.assoc th builders in
+  (* [U.Model.kind_of_instance] as a table: two lookups a message. *)
+  let kinds = Hashtbl.create 16 in
+  let classes = Hashtbl.create 16 in
+  List.iter
+    (fun (c : U.Classifier.cls) ->
+      if not (Hashtbl.mem classes c.U.Classifier.cls_name) then
+        Hashtbl.add classes c.U.Classifier.cls_name c.U.Classifier.cls_kind)
+    uml.U.Model.classes;
+  List.iter
+    (fun (i : U.Classifier.instance) ->
+      if not (Hashtbl.mem kinds i.U.Classifier.inst_name) then
+        Hashtbl.add kinds i.U.Classifier.inst_name
+          (Hashtbl.find_opt classes i.U.Classifier.inst_class))
+    uml.U.Model.instances;
+  let kind_of name = Option.join (Hashtbl.find_opt kinds name) in
   let links = ref [] in
   let add_link src dst = links := (src, dst) :: !links in
   (* Top-level port blocks share one namespace: a read and a write of
@@ -264,11 +264,13 @@ let run ?(style = Caam) ~allocation uml =
   in
   let process_message sd_name idx (m : U.Sequence.message) =
     let caller = m.U.Sequence.msg_from in
-    let msg_id = Printf.sprintf "%s:%d:%s" sd_name idx m.U.Sequence.msg_operation in
-    match U.Model.kind_of_instance uml caller with
+    let msg_id =
+      String.concat ":" [ sd_name; string_of_int idx; m.U.Sequence.msg_operation ]
+    in
+    match kind_of caller with
     | Some U.Classifier.Thread -> (
         let tb = builder caller in
-        let callee_kind = U.Model.kind_of_instance uml m.U.Sequence.msg_to in
+        let callee_kind = kind_of m.U.Sequence.msg_to in
         let arg_tokens =
           List.map (fun (a : U.Sequence.arg) -> a.U.Sequence.arg_name) m.U.Sequence.msg_args
         in
@@ -297,7 +299,7 @@ let run ?(style = Caam) ~allocation uml =
                   add_link (Src_thread (caller, out_idx))
                     (Dst_thread (m.U.Sequence.msg_to, in_idx));
                   Trace.record trace ~rule:"send_to_channel" ~sources:[ msg_id ]
-                    ~targets:[ Printf.sprintf "%s/Out%d" caller out_idx ])
+                    ~targets:[ caller ^ "/Out" ^ string_of_int out_idx ])
                 arg_tokens
             else if U.Sequence.is_receive m then (
               match result_token with
@@ -308,7 +310,7 @@ let run ?(style = Caam) ~allocation uml =
                     (Src_thread (m.U.Sequence.msg_to, out_idx))
                     (Dst_thread (caller, in_idx));
                   Trace.record trace ~rule:"receive_to_channel" ~sources:[ msg_id ]
-                    ~targets:[ Printf.sprintf "%s/In%d" caller in_idx ]
+                    ~targets:[ caller ^ "/In" ^ string_of_int in_idx ]
               | None -> ())
             else ()
         | Some U.Classifier.Io_device ->

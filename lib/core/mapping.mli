@@ -37,6 +37,8 @@ val run :
   allocation:(string * string) list ->
   Umlfront_uml.Model.t ->
   result
-(** [allocation] maps every thread to a CPU name.
+(** [allocation] maps every thread to a CPU name.  The model is expected
+    to pass {!Umlfront_uml.Validate.check}: the flow raises the first
+    issue in its map phase, before it calls this.
     @raise Invalid_argument when a thread is missing from the
-    allocation, or the UML model fails {!Umlfront_uml.Validate}. *)
+    allocation. *)

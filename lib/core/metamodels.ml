@@ -401,26 +401,26 @@ let mmodel_to_simulink m =
       | Some n -> n
       | None -> invalid_arg "metamodels: System without name"
     in
-    let sys = S.empty name in
-    let sys =
-      List.fold_left
-        (fun sys bo ->
-          let bname = Option.value (Mm.get_string bo "name") ~default:"?" in
-          let ty = B.of_string (Option.value (Mm.get_string bo "blockType") ~default:"") in
-          let params = List.map (object_to_param m) (Mm.refs m bo "params") in
-          match Mm.ref1 m bo "system" with
-          | Some nested -> S.add_block ~params ~system:(object_to_system nested) sys ty bname
-          | None -> S.add_block ~params sys ty bname)
-        sys (Mm.refs m so "blocks")
+    let block bo =
+      let blk_name = Option.value (Mm.get_string bo "name") ~default:"?" in
+      let blk_type = B.of_string (Option.value (Mm.get_string bo "blockType") ~default:"") in
+      let blk_params = List.map (object_to_param m) (Mm.refs m bo "params") in
+      {
+        S.blk_name;
+        blk_type;
+        blk_params;
+        blk_system = Option.map object_to_system (Mm.ref1 m bo "system");
+      }
     in
-    List.fold_left
-      (fun sys lo ->
-        let get_s k = Option.value (Mm.get_string lo k) ~default:"?" in
-        let get_i k = Option.value (Mm.get_int lo k) ~default:1 in
-        S.add_line sys
-          ~src:{ S.block = get_s "srcBlock"; S.port = get_i "srcPort" }
-          ~dst:{ S.block = get_s "dstBlock"; S.port = get_i "dstPort" })
-      sys (Mm.refs m so "lines")
+    let line lo =
+      let get_s k = Option.value (Mm.get_string lo k) ~default:"?" in
+      let get_i k = Option.value (Mm.get_int lo k) ~default:1 in
+      {
+        S.src = { S.block = get_s "srcBlock"; S.port = get_i "srcPort" };
+        dst = { S.block = get_s "dstBlock"; S.port = get_i "dstPort" };
+      }
+    in
+    S.make name (List.map block (Mm.refs m so "blocks")) (List.map line (Mm.refs m so "lines"))
   in
   match Mm.all_of_class m "Model" with
   | [ mo ] ->

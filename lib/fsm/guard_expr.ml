@@ -189,8 +189,19 @@ let cmp_symbol = function
 
 let arith_symbol = function Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/"
 
+(* The shortest of 15, 16 and 17 significant digits that reads back to
+   the same float; 17 always does. *)
+let number f =
+  let at digits = Printf.sprintf "%.*g" digits f in
+  let exact text = float_of_string text = f in
+  let s15 = at 15 in
+  if exact s15 then s15
+  else
+    let s16 = at 16 in
+    if exact s16 then s16 else at 17
+
 let rec to_string = function
-  | Num f -> Printf.sprintf "%g" f
+  | Num f -> number f
   | Var v -> v
   (* The outer parens keep negation re-parseable in any position: '!'
      is only legal at the [not] level of the grammar, but a

@@ -45,7 +45,8 @@ val to_c : t -> string
 
 val to_string : t -> string
 (** Re-printable form; [parse (to_string e)] yields an equivalent
-    expression (property-tested). *)
+    expression (property-tested).  A constant prints with the fewest of
+    15, 16 or 17 significant digits that read back to the same float. *)
 
 val evaluator : (string * float) list -> string -> bool
 (** [evaluator bindings] is a [guard_eval] function for {!Fsm.step}:

@@ -12,28 +12,38 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* Each run of bytes that needs no escape is copied in one piece. *)
 let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then (
+      Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+          Buffer.add_string buf (if Char.code c < 0x10 then "\\u000" else "\\u001");
+          Buffer.add_char buf "0123456789abcdef".[Char.code c land 0xf]);
+      start := i + 1)
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start);
   Buffer.add_char buf '"'
+
+(* The primitive Printf's %.0f and %.6f call, without building the
+   format each time. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let add_float buf f =
   if Float.is_nan f || Float.abs f = Float.infinity then
     Buffer.add_string buf "null"
   else if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" f)
-  else Buffer.add_string buf (Printf.sprintf "%.6f" f)
+    Buffer.add_string buf (format_float "%.0f" f)
+  else Buffer.add_string buf (format_float "%.6f" f)
 
 let rec add buf = function
   | Null -> Buffer.add_string buf "null"

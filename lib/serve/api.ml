@@ -162,14 +162,17 @@ let key_options endpoint opts =
    (options, body) pairs spell the same key. *)
 let raw_key endpoint opts body = key_options endpoint opts ^ "\n" ^ Digest.string body
 
-(* The id is the MD5 of the raw key the canonical XMI would have: one
-   digest over the XMI, none over a copy of it. *)
+(* The parsed model's own bytes, not its printed XMI: the model is
+   plain immutable data, so equal models marshal to equal bytes, and
+   [No_sharing] keeps them independent of how the parser shared its
+   strings.  The id is the MD5 of the options and of the bytes' MD5. *)
 let cache_key endpoint opts uml =
-  let options = key_options endpoint opts and xmi = U.Xmi.to_string uml in
+  let options = key_options endpoint opts
+  and model = Marshal.to_string (uml : U.Model.t) [ Marshal.No_sharing ] in
   {
-    Cache.id = Digest.to_hex (Digest.string (options ^ "\n" ^ Digest.string xmi));
+    Cache.id = Digest.to_hex (Digest.string (options ^ "\n" ^ Digest.string model));
     options;
-    xmi;
+    model;
   }
 
 (* --- computations ---------------------------------------------------- *)

@@ -85,12 +85,12 @@ val cache_key : endpoint -> options -> Umlfront_uml.Model.t -> Cache.key
     MD5: its [options] name the endpoint, the options it reads and the
     strategy ([file] on lint; [rounds] on simulate, conform and
     generate; the resolved {!engine} on simulate and conform;
-    [backends] on conform); its [xmi] is the model re-serialized
-    ([Xmi.to_string]); its [id] is the MD5 hex of both.  Equal keys
-    guarantee equal response bodies, and options an endpoint ignores do
-    not split its entries: [/api/simulate] and
-    [/api/simulate?engine=compiled] share one.  Two texts that parse to
-    the same model (whitespace, attribute order the writer normalizes)
+    [backends] on conform); its [model] is the parsed model's bytes
+    ([Marshal] without sharing, about a quarter of its XMI); its [id]
+    is the MD5 hex of both.  Equal keys guarantee equal response
+    bodies, and options an endpoint ignores do not split its entries:
+    [/api/simulate] and [/api/simulate?engine=compiled] share one.  Two
+    texts that parse to the same model (whitespace, attribute order)
     share a key. *)
 
 val raw_key : endpoint -> options -> string -> string

@@ -5,10 +5,9 @@
    the same nodes, so one recency list and one byte bound cover both.
    All state is guarded by one mutex; the critical sections only move
    list pointers, update counters and compare the material a probe
-   claims: the options and canonical XMI of a key, or one request
-   body. *)
+   claims: the options and model bytes of a key, or one request body. *)
 
-type key = { id : string; options : string; xmi : string }
+type key = { id : string; options : string; model : string }
 type value = { status : int; content_type : string; body : string }
 
 type stats = {
@@ -30,9 +29,8 @@ type node = {
   mutable next : node option;  (** towards least-recently-used *)
 }
 
-(* The request bodies and canonical XMI the entries hold, weakly: a
-   body filling entries of several endpoints is kept once, and so is a
-   body that is its own canonical XMI. *)
+(* The request bodies the entries hold, weakly: a body filling entries
+   of several endpoints is kept once. *)
 module Bodies = Weak.Make (struct
   type t = string
 
@@ -71,18 +69,17 @@ let create ~max_bytes =
     evictions = 0;
   }
 
-(* Entry cost: the payload, the key's id and options, the canonical
-   XMI unless it is the kept request body, the raw key and the request
-   body if kept, plus a fixed allowance for the node and table slots.
-   Each string counts once: a table and its node share it. *)
+(* Entry cost: the payload, the key's id, options and model bytes, the
+   raw key and the request body if kept, plus a fixed allowance for the
+   node and table slots.  Each string counts once: a table and its node
+   share it. *)
 let cost key v raw =
-  String.length v.body + String.length key.id + String.length key.options + 64
+  String.length v.body + String.length key.id + String.length key.options
+  + String.length key.model + 64
   +
   match raw with
-  | Some (raw_key, request) ->
-      String.length raw_key + String.length request
-      + if String.equal request key.xmi then 0 else String.length key.xmi
-  | None -> String.length key.xmi
+  | Some (raw_key, request) -> String.length raw_key + String.length request
+  | None -> 0
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.mru <- n.next);
@@ -114,8 +111,8 @@ let hit t n =
 let find t key =
   Mutex.protect t.lock @@ fun () ->
   match Hashtbl.find_opt t.table key.id with
-  | Some n when String.equal n.key.options key.options && String.equal n.key.xmi key.xmi
-    ->
+  | Some n
+    when String.equal n.key.options key.options && String.equal n.key.model key.model ->
       hit t n;
       Some n.v
   | Some _ | None ->
@@ -148,7 +145,6 @@ let add ?raw t key v =
     let raw =
       Option.map (fun (raw_key, request) -> (raw_key, Bodies.merge t.bodies request)) raw
     in
-    let key = { key with xmi = Bodies.merge t.bodies key.xmi } in
     let n = { key; v; raw; size; prev = None; next = None } in
     Hashtbl.replace t.table key.id n;
     Option.iter (fun (raw_key, _) -> Hashtbl.replace t.raw_table raw_key n) raw;

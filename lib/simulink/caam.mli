@@ -18,6 +18,10 @@ type role = Cpu | Thread | Comm
 val role_param : string
 val protocol_param : string
 
+val role_to_string : role -> string
+(** ["cpu"], ["thread"], ["comm"]: the value of the [CAAMRole]
+    parameter. *)
+
 val role_of_block : System.block -> role option
 val mark : System.t -> string -> role -> System.t
 (** Tag a block of the system with a CAAM role. *)

@@ -15,29 +15,40 @@ let empty name = { sys_name = name; sys_blocks = []; sys_lines = [] }
 let find_block sys name =
   List.find_opt (fun b -> String.equal b.blk_name name) sys.sys_blocks
 
+(* The errors of building a system, shared by [add_block], [add_line]
+   and [make]. *)
+let no_block sys_name name = invalid_arg (Printf.sprintf "system %s: no block %s" sys_name name)
+
+let duplicate_block sys_name name =
+  invalid_arg (Printf.sprintf "system %s: duplicate block %s" sys_name name)
+
+let already_driven sys_name dst =
+  invalid_arg
+    (Printf.sprintf "system %s: input port %s/%d already driven" sys_name dst.block dst.port)
+
+(* A block as a system holds it: a subsystem always has a system, and
+   no other block has one. *)
+let held_block sys_name b =
+  match (b.blk_type, b.blk_system) with
+  | Block.Subsystem, Some _ -> b
+  | Block.Subsystem, None -> { b with blk_system = Some (empty b.blk_name) }
+  | _, Some _ ->
+      invalid_arg (Printf.sprintf "system %s: block %s is not a subsystem" sys_name b.blk_name)
+  | _, None -> b
+
 let find_block_exn sys name =
-  match find_block sys name with
-  | Some b -> b
-  | None -> invalid_arg (Printf.sprintf "system %s: no block %s" sys.sys_name name)
+  match find_block sys name with Some b -> b | None -> no_block sys.sys_name name
 
 let blocks sys = sys.sys_blocks
 let lines sys = sys.sys_lines
 let blocks_of_type sys ty = List.filter (fun b -> b.blk_type = ty) sys.sys_blocks
 
 let add_block ?(params = []) ?system sys ty name =
-  if find_block sys name <> None then
-    invalid_arg (Printf.sprintf "system %s: duplicate block %s" sys.sys_name name);
-  (match (ty, system) with
-  | Block.Subsystem, _ -> ()
-  | _, Some _ ->
-      invalid_arg (Printf.sprintf "system %s: block %s is not a subsystem" sys.sys_name name)
-  | _, None -> ());
-  let system =
-    match (ty, system) with
-    | Block.Subsystem, None -> Some (empty name)
-    | _, s -> s
+  if find_block sys name <> None then duplicate_block sys.sys_name name;
+  let b =
+    held_block sys.sys_name
+      { blk_name = name; blk_type = ty; blk_params = params; blk_system = system }
   in
-  let b = { blk_name = name; blk_type = ty; blk_params = params; blk_system = system } in
   { sys with sys_blocks = sys.sys_blocks @ [ b ] }
 
 let param b key = List.assoc_opt key b.blk_params
@@ -50,7 +61,7 @@ let param_int b key =
 
 let replace_block sys b =
   match find_block sys b.blk_name with
-  | None -> invalid_arg (Printf.sprintf "system %s: no block %s" sys.sys_name b.blk_name)
+  | None -> no_block sys.sys_name b.blk_name
   | Some _ ->
       {
         sys with
@@ -93,11 +104,31 @@ let add_line sys ~src ~dst =
       (fun l -> String.equal l.dst.block dst.block && l.dst.port = dst.port)
       sys.sys_lines
   in
-  if taken then
-    invalid_arg
-      (Printf.sprintf "system %s: input port %s/%d already driven" sys.sys_name dst.block
-         dst.port);
+  if taken then already_driven sys.sys_name dst;
   { sys with sys_lines = sys.sys_lines @ [ { src; dst } ] }
+
+(* The checks of [add_block] then [add_line], in their order, over hash
+   tables instead of list scans. *)
+let make name blocks lines =
+  let names = Hashtbl.create 16 in
+  let blocks =
+    List.map
+      (fun b ->
+        if Hashtbl.mem names b.blk_name then duplicate_block name b.blk_name;
+        Hashtbl.add names b.blk_name ();
+        held_block name b)
+      blocks
+  in
+  let driven = Hashtbl.create 16 in
+  List.iter
+    (fun l ->
+      let check (p : port_ref) = if not (Hashtbl.mem names p.block) then no_block name p.block in
+      check l.src;
+      check l.dst;
+      if Hashtbl.mem driven (l.dst.block, l.dst.port) then already_driven name l.dst;
+      Hashtbl.add driven (l.dst.block, l.dst.port) ())
+    lines;
+  { sys_name = name; sys_blocks = blocks; sys_lines = lines }
 
 let remove_line sys ~src ~dst =
   { sys with sys_lines = List.filter (fun l -> l <> { src; dst }) sys.sys_lines }

@@ -29,6 +29,15 @@ val add_line : t -> src:port_ref -> dst:port_ref -> t
 (** @raise Invalid_argument when an endpoint block does not exist in
     this system or the destination port is already driven. *)
 
+val make : string -> block list -> line list -> t
+(** [make name blocks lines] is the system named [name] that adding
+    [blocks] with {!add_block}, then [lines] with {!add_line}, in order,
+    would build, in one pass: a [Subsystem] block without a system gets
+    an empty one named after it.
+
+    @raise Invalid_argument with the first error, and the message, that
+    sequence would raise. *)
+
 val remove_line : t -> src:port_ref -> dst:port_ref -> t
 val replace_block : t -> block -> t
 val rename_system : t -> string -> t

@@ -6,34 +6,37 @@ let check model =
   let issues = ref [] in
   let blame where what = issues := { where; what } :: !issues in
   let check_message sd (m : Sequence.message) =
-    let where = Printf.sprintf "%s: %s->%s.%s" sd m.msg_from m.msg_to m.msg_operation in
+    (* Printed only for an issue: most messages have none. *)
+    let blame what =
+      blame (Printf.sprintf "%s: %s->%s.%s" sd m.msg_from m.msg_to m.msg_operation) what
+    in
     let caller_kind = Model.kind_of_instance model m.msg_from in
     let callee_kind = Model.kind_of_instance model m.msg_to in
     if Model.find_instance model m.msg_from = None then
-      blame where (Printf.sprintf "unknown caller object %s" m.msg_from);
+      blame (Printf.sprintf "unknown caller object %s" m.msg_from);
     if Model.find_instance model m.msg_to = None then
-      blame where (Printf.sprintf "unknown callee object %s" m.msg_to);
+      blame (Printf.sprintf "unknown callee object %s" m.msg_to);
     (match (callee_kind, Model.operation_of_message model m) with
     | Some Classifier.Platform, _ -> ()
     | Some _, None ->
-        blame where
+        blame
           (Printf.sprintf "operation %s not declared on class of %s" m.msg_operation
              m.msg_to)
     | Some _, Some op ->
         let formal_inputs = List.length (Operation.inputs op) in
         let actual = List.length m.msg_args in
         if formal_inputs <> actual then
-          blame where
+          blame
             (Printf.sprintf "argument count mismatch: %d actual vs %d formal inputs"
                actual formal_inputs)
     | None, _ -> ());
     (match (caller_kind, callee_kind) with
     | Some Classifier.Thread, Some Classifier.Thread ->
         if not (Sequence.is_send m || Sequence.is_receive m) then
-          blame where "thread-to-thread call must use the Set/Get prefix convention"
+          blame "thread-to-thread call must use the Set/Get prefix convention"
     | _, Some Classifier.Io_device ->
         if not (Sequence.is_io_read m || Sequence.is_io_write m) then
-          blame where "call to an <<IO>> object must use the get/set prefix convention"
+          blame "call to an <<IO>> object must use the get/set prefix convention"
     | _, _ -> ())
   in
   List.iter
@@ -141,8 +144,7 @@ production, Get, IO read or Set delivery)"
     model.Model.activities;
   List.rev !issues
 
-let check_exn model =
-  match check model with
+let raise_first = function
   | [] -> ()
   | i :: _ ->
       invalid_arg (Printf.sprintf "UML model not well-formed: %s: %s" i.where i.what)

@@ -20,7 +20,7 @@ val check : Model.t -> issue list
       (own result binding, Get, IO read, or a Set delivery), since the
       mapping can only wire thread-local ports. *)
 
-val check_exn : Model.t -> unit
-(** @raise Invalid_argument listing the first issue. *)
+val raise_first : issue list -> unit
+(** @raise Invalid_argument listing the first issue, if there is one. *)
 
 val pp_issue : Format.formatter -> issue -> unit

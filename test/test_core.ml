@@ -30,6 +30,19 @@ let find_at root path name =
   in
   descend root path
 
+(* A message from an instance nobody declared: the first issue
+   [Validate.check] reports. *)
+let with_unknown_caller (uml : U.Model.t) =
+  let sd = List.hd uml.U.Model.sequences in
+  let m = List.hd sd.U.Sequence.sd_messages in
+  let stray = { m with U.Sequence.msg_from = "ghost" } in
+  {
+    uml with
+    U.Model.sequences =
+      { sd with U.Sequence.sd_messages = stray :: sd.U.Sequence.sd_messages }
+      :: List.tl uml.U.Model.sequences;
+  }
+
 let mapping_tests =
   [
     test "thread missing from allocation rejected" (fun () ->
@@ -252,6 +265,46 @@ let channel_tests =
         let twice = Core.Channel_inference.run once.Core.Channel_inference.model in
         check Alcotest.int "no new intra" 0 twice.Core.Channel_inference.intra_channels;
         check Alcotest.int "no new inter" 0 twice.Core.Channel_inference.inter_channels);
+    test "channels take the first chN names their system leaves free" (fun () ->
+        let uml =
+          Umlfront_casestudies.Random_models.multi_cpu ~seed:3 ~threads:8 ~cpus:2
+            ~extra_edges:4
+        in
+        let mapped = Core.Mapping.run ~allocation:(deployment_allocation uml) uml in
+        let model = mapped.Core.Mapping.model in
+        let squat sys = List.fold_left (fun sys n -> S.add_block sys B.Constant n) sys in
+        let root =
+          S.map_systems
+            (fun path sys ->
+              match path with
+              | [] -> squat sys [ "ch1"; "ch3" ]
+              | [ _ ] -> squat sys [ "ch2" ]
+              | _ -> sys)
+            model.Model.root
+        in
+        let r = Core.Channel_inference.run { model with Model.root } in
+        check Alcotest.bool "both kinds spliced" true
+          (r.Core.Channel_inference.inter_channels > 0
+          && r.Core.Channel_inference.intra_channels > 0);
+        S.iter_systems
+          (fun path sys ->
+            let channels =
+              List.filter_map
+                (fun (b : S.block) ->
+                  if b.S.blk_type = B.Channel then Some b.S.blk_name else None)
+                (S.blocks sys)
+            in
+            let free =
+              List.filter
+                (fun n -> S.find_block sys n = None || List.mem n channels)
+                (List.init 64 (fun i -> Printf.sprintf "ch%d" (i + 1)))
+            in
+            check
+              Alcotest.(list string)
+              ("/" ^ String.concat "/" path)
+              (List.filteri (fun i _ -> i < List.length channels) free)
+              channels)
+          r.Core.Channel_inference.model.Model.root);
   ]
 
 let crane () = Umlfront_casestudies.Crane_system.model ()
@@ -378,6 +431,65 @@ let flow_tests =
         List.iter
           (fun th -> check Alcotest.bool th true (Astring_contains.contains text th))
           [ "T1"; "T2"; "T3" ]);
+    test "a model with issues fails in the map phase, after allocation" (fun () ->
+        let bad = with_unknown_caller (didactic ()) in
+        let first = List.hd (U.Validate.check bad) in
+        let ctx = Umlfront_obs.Context.create () in
+        (match Core.Flow.run ~ctx bad with
+        | _ -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument m ->
+            check Alcotest.string "the first issue"
+              (Printf.sprintf "UML model not well-formed: %s: %s" first.U.Validate.where
+                 first.U.Validate.what)
+              m);
+        let phases =
+          Umlfront_obs.Context.with_current ctx (fun () -> Umlfront_obs.Journal.entries ())
+          |> List.map (fun e -> e.Umlfront_obs.Journal.j_kind)
+        in
+        check
+          Alcotest.(list string)
+          "phases started, the issue reported"
+          [ "flow.run"; "flow.validate"; "flow.validate.issue"; "flow.allocate"; "flow.map" ]
+          phases);
+    (* Each system is built once, so the words synthesis allocates grow
+       about linearly with the threads; a builder that copies a system
+       per block, line or channel makes them grow about as the square,
+       past this bound. *)
+    test "synthesis at 100 threads allocates at most 2.4x what 50 do" (fun () ->
+        let minor_words uml =
+          let before = Gc.minor_words () in
+          ignore (Core.Flow.synthesize uml);
+          Gc.minor_words () -. before
+        in
+        List.iter
+          (fun (shape, gen) ->
+            let ratio = minor_words (gen 100) /. minor_words (gen 50) in
+            check Alcotest.bool (Printf.sprintf "%s: %.2fx" shape ratio) true (ratio <= 2.4))
+          [
+            ( "pipeline",
+              fun threads ->
+                Umlfront_casestudies.Random_models.pipeline ~seed:1 ~threads
+                  ~extra_edges:(threads / 2) );
+            ( "chatty",
+              fun threads ->
+                Umlfront_casestudies.Random_models.chatty ~seed:1 ~threads ~width:2 );
+          ]);
+    test "random pipelines name any number of threads uniquely in ASCII" (fun () ->
+        let uml =
+          Umlfront_casestudies.Random_models.pipeline ~seed:1 ~threads:300 ~extra_edges:0
+        in
+        let threads = U.Model.threads uml in
+        check Alcotest.int "threads" 300 (List.length threads);
+        check Alcotest.int "unique" 300 (List.length (List.sort_uniq compare threads));
+        check Alcotest.(list string) "the first names" [ "TA"; "TB"; "TZ"; "T26" ]
+          (List.map (List.nth threads) [ 0; 1; 25; 26 ]);
+        List.iter
+          (fun th ->
+            check Alcotest.bool th true
+              (String.for_all
+                 (function 'A' .. 'Z' | '0' .. '9' -> true | _ -> false)
+                 th))
+          threads);
   ]
 
 let uml2fsm_tests =

@@ -40,6 +40,31 @@ let parse_tests =
     test "variables collected sorted distinct" (fun () ->
         check Alcotest.(list string) "vars" [ "a"; "b" ]
           (E.variables (E.parse_exn "a > b && a + b < 2 * a")));
+    test "constants print without rounding" (fun () ->
+        check Alcotest.string "seven digits" "(speed > 1234567)"
+          (E.to_string (E.parse_exn "speed > 1234567"));
+        check Alcotest.string "C too" "(speed > 1234567)"
+          (E.to_c (E.parse_exn "speed > 1234567"));
+        check Alcotest.string "seventeen digits" "0.30000000000000004"
+          (E.to_string (E.Num (0.1 +. 0.2)));
+        check Alcotest.string "the shortest that reads back" "0.1" (E.to_string (E.Num 0.1)));
+    (* The grammar reads digits and dots only, so the constants it can
+       hold are the non-negative ones that print without an exponent:
+       0 and [1e-4, 1e15). *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"constants round-trip through parse (to_string _)" ~count:500
+         (QCheck.make ~print:(Printf.sprintf "%h")
+            QCheck.Gen.(
+              oneof
+                [
+                  map float_of_int (int_range 0 999_999_999_999_999);
+                  float_range 1e-4 1e15;
+                  float_range 1e-4 1.;
+                  map (fun n -> float_of_int n /. 1000.) (int_range 0 1_000_000_000);
+                ]))
+         (fun f ->
+           let e = E.Cmp (E.Gt, E.Var "speed", E.Num f) in
+           E.parse (E.to_string e) = Ok e));
   ]
 
 let eval_tests =

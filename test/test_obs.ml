@@ -23,6 +23,75 @@ let json_escaping () =
   check Alcotest.string "integral floats printed as integers" "[3,null]"
     (Json.to_string (Json.List [ Json.Float 3.0; Json.Float Float.nan ]))
 
+(* The encoder as it was before it copied unescaped runs whole and
+   called the float primitive directly: its bytes are the contract. *)
+let old_string s =
+  let buf = Buffer.create 16 in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let old_float f =
+  if Float.is_nan f || Float.abs f = Float.infinity then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.6f" f
+
+let float_specials =
+  [
+    0.; -0.; 1.; -1.; 1e15; -1e15; 1e15 -. 1.; 999_999_999_999_999.5; 1e-7; -1e-7; 0.5;
+    -2.5; 1e-6; 5e-7; 4.9e-324; -4.9e-324; Float.min_float /. 3.; Float.min_float;
+    Float.max_float; -.Float.max_float; Float.nan; -.Float.nan; Float.infinity;
+    Float.neg_infinity;
+  ]
+
+let json_encoder_all_bytes_and_specials () =
+  let every_byte = String.init 256 Char.chr in
+  check Alcotest.string "every byte value" (old_string every_byte)
+    (Json.to_string (Json.String every_byte));
+  String.iter
+    (fun c ->
+      let s = String.make 1 c in
+      check Alcotest.string (Printf.sprintf "byte %d" (Char.code c)) (old_string s)
+        (Json.to_string (Json.String s)))
+    every_byte;
+  List.iter
+    (fun f ->
+      check Alcotest.string (Printf.sprintf "%h" f) (old_float f)
+        (Json.to_string (Json.Float f)))
+    float_specials
+
+let json_encoder_keeps_its_bytes =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"json strings and floats encode to the old encoder's bytes"
+       ~count:500
+       (QCheck.make
+          ~print:(fun (s, f) -> Printf.sprintf "%S %h" s f)
+          QCheck.Gen.(
+            pair
+              (string_size ~gen:char (0 -- 64))
+              (oneof
+                 [
+                   oneofl float_specials;
+                   float;
+                   map float_of_int int;
+                   map (fun n -> float_of_int n /. 1000.) (int_range (-1_000_000) 1_000_000);
+                 ])))
+       (fun (s, f) ->
+         Json.to_string (Json.String s) = old_string s
+         && Json.to_string (Json.Float f) = old_float f))
+
 (* --- JSON parser ----------------------------------------------------- *)
 
 let json_parse_roundtrip () =
@@ -770,5 +839,8 @@ let suite =
           bench_diff_skips_underprovisioned_sweeps;
         test "bench-diff exec-compiled schema" bench_diff_exec_compiled_schema;
         test "bench-diff rejects foreign documents" bench_diff_rejects_foreign_documents;
+        test "json encoder: every byte value and float special as before"
+          json_encoder_all_bytes_and_specials;
+        json_encoder_keeps_its_bytes;
       ] );
   ]

@@ -129,6 +129,56 @@ let system_tests =
         let sys = S.set_param sys "g" "Gain" (B.P_float 3.0) in
         check Alcotest.bool "updated" true
           (S.param (S.find_block_exn sys "g") "Gain" = Some (B.P_float 3.0)));
+    (* Random blocks and lines over a few names, with the defects the
+       sequence rejects: a repeated name, a system on a non-subsystem, a
+       line to a missing block, a port driven twice. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"make builds what add_block and add_line build, or fails alike" ~count:500
+         (QCheck.make
+            ~print:(fun (blocks, lines) ->
+              Printf.sprintf "blocks %s; lines %s"
+                (String.concat ","
+                   (List.map
+                      (fun (n, t, nested) -> Printf.sprintf "%s:%d:%b" n t nested)
+                      blocks))
+                (String.concat ","
+                   (List.map (fun (a, p, b, q) -> Printf.sprintf "%s/%d->%s/%d" a p b q) lines)))
+            QCheck.Gen.(
+              let name = oneofl [ "a"; "b"; "c"; "d"; "e" ] in
+              pair
+                (list_size (0 -- 5) (triple name (0 -- 3) bool))
+                (list_size (0 -- 6) (quad name (1 -- 2) name (1 -- 2)))))
+         (fun (blocks, lines) ->
+           let types = [| B.Gain; B.Sum; B.Subsystem; B.Constant |] in
+           let block (name, t, nested) =
+             {
+               S.blk_name = name;
+               blk_type = types.(t);
+               blk_params = [ ("Tag", B.P_int t) ];
+               blk_system = (if nested then Some (S.empty ("inner_" ^ name)) else None);
+             }
+           in
+           let line (a, p, b, q) =
+             { S.src = { S.block = a; port = p }; dst = { S.block = b; port = q } }
+           in
+           let outcome f =
+             match f () with sys -> Ok sys | exception Invalid_argument m -> Error m
+           in
+           let sequence () =
+             let sys =
+               List.fold_left
+                 (fun sys (b : S.block) ->
+                   S.add_block ~params:b.S.blk_params ?system:b.S.blk_system sys b.S.blk_type
+                     b.S.blk_name)
+                 (S.empty "s") (List.map block blocks)
+             in
+             List.fold_left
+               (fun sys (l : S.line) -> S.add_line sys ~src:l.S.src ~dst:l.S.dst)
+               sys (List.map line lines)
+           in
+           outcome sequence
+           = outcome (fun () -> S.make "s" (List.map block blocks) (List.map line lines))));
   ]
 
 let library_tests =

@@ -315,6 +315,10 @@ let statechart_sample =
       Statechart.transition ~trigger:"close" ~source:"open_" ~target:"closed" ();
     ]
 
+(* The bytes the serving cache keys a parsed model by. *)
+let marshalled (m : Model.t) = Marshal.to_string m [ Marshal.No_sharing ]
+let reread m = marshalled (Xmi.of_string (Xmi.to_string m))
+
 let xmi_tests =
   [
     test "round-trip is a fixpoint" (fun () ->
@@ -374,6 +378,35 @@ let xmi_tests =
         let m = sample_uml () in
         let m' = Xmi.of_string (Xmi.to_string m) in
         check Alcotest.int "still well-formed" 0 (List.length (Validate.check m')));
+    test "bundled models read back to the same bytes" (fun () ->
+        let module Cs = Umlfront_casestudies in
+        List.iter
+          (fun m -> check Alcotest.string m.Model.model_name (marshalled m) (reread m))
+          [
+            { (sample_uml ()) with Model.statecharts = [ statechart_sample ] };
+            Cs.Didactic.model ();
+            Cs.Crane_system.model ();
+            Cs.Synthetic_system.model ();
+            Cs.Mjpeg_system.model ();
+            Cs.Elevator_system.model ();
+          ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"random models read back to the same bytes" ~count:100
+         (QCheck.make
+            ~print:(fun (shape, seed, size) ->
+              Printf.sprintf "shape %d seed %d size %d" shape seed size)
+            QCheck.Gen.(triple (0 -- 4) (int_bound 99_999) (2 -- 40)))
+         (fun (shape, seed, size) ->
+           let module R = Umlfront_casestudies.Random_models in
+           let m =
+             match shape with
+             | 0 -> R.pipeline ~seed ~threads:size ~extra_edges:(size / 2)
+             | 1 -> R.cyclic ~seed ~stages:size
+             | 2 -> R.chatty ~seed ~threads:size ~width:3
+             | 3 -> R.multi_cpu ~seed ~threads:size ~cpus:3 ~extra_edges:size
+             | _ -> R.wide ~seed ~branches:(1 + (size / 4)) ~depth:3
+           in
+           marshalled m = reread m));
   ]
 
 let statechart_tests =
