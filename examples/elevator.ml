@@ -3,9 +3,8 @@
 
    - the event-based mode controller (a hierarchical statechart) takes
      the control-flow branch of Fig. 1: flattening, minimization, and
-     switch-based C from the FSM generator — once through the typed
-     pipeline (Uml2fsm) and once through the generic rule engine over
-     explicit metamodels (M2m), with the two results compared;
+     switch-based C from the FSM generator, through the typed pipeline
+     (Uml2fsm);
 
    - the cabin position loop (threads described by *activity diagrams*,
      the §6 extension) takes the dataflow branch: allocation is chosen
@@ -27,23 +26,15 @@ let () =
   Format.printf "%a@." U.Model.pp uml;
 
   print_endline "=== Control-flow branch: statechart -> FSM -> C ===";
-  let typed = Core.Uml2fsm.run uml in
-  let generic = Core.M2m.run uml in
   List.iter
     (fun (name, (g : Core.Uml2fsm.generated)) ->
       Printf.printf "  %s: %d states flattened, %d after minimization\n" name
         (List.length g.Core.Uml2fsm.fsm.Fsm.states)
         (List.length g.Core.Uml2fsm.minimized.Fsm.states);
-      let via_engine = List.assoc name generic in
-      let traces =
-        [ [ "call_above"; "arrived"; "timeout" ]; [ "call_below"; "reverse"; "arrived" ] ]
-      in
-      Printf.printf "  generic-engine result behaves identically: %b\n"
-        (Fsm.simulate_equal g.Core.Uml2fsm.fsm via_engine traces);
       Printf.printf "  C header: %d lines, C source: %d lines\n"
         (List.length (String.split_on_char '\n' g.Core.Uml2fsm.c_header))
         (List.length (String.split_on_char '\n' g.Core.Uml2fsm.c_source)))
-    typed;
+    (Core.Uml2fsm.run uml);
 
   print_endline "=== Dataflow branch: design-space exploration (§6) ===";
   let dse = Core.Dse.explore uml in

@@ -5,8 +5,6 @@ module Sdf = Umlfront_dataflow.Sdf
 module Kpn = Umlfront_dataflow.Kpn
 module M2t = Umlfront_transform.M2t
 
-let sanitize = Gen_threads.sanitize
-
 let generate ?(rounds = 10) (m : Model.t) =
   let sdf = Sdf.of_model m in
   let t = M2t.create () in
@@ -24,7 +22,8 @@ let generate ?(rounds = 10) (m : Model.t) =
   M2t.line t "(* Channel names, one per edge of the flattened model: *)";
   List.iter
     (fun (e : Sdf.edge) ->
-      M2t.line t "let ch_%s_%s = %S" (sanitize e.Sdf.edge_src) (sanitize e.Sdf.edge_dst)
+      M2t.line t "let ch_%s_%s = %S" (M2t.sanitize e.Sdf.edge_src)
+        (M2t.sanitize e.Sdf.edge_dst)
         (Kpn.channel_name e))
     sdf.Sdf.edges;
   M2t.blank t;

@@ -7,8 +7,6 @@ module E = Thread_emitter
 
 type generated = { files : (string * string) list }
 
-let sanitize = E.sanitize
-
 let dialect =
   {
     E.pop = Printf.sprintf "fifo_pop(&%s)";

@@ -17,13 +17,9 @@ type generated = { files : (string * string) list }
     plus the FIFO runtime. *)
 
 val generate : ?rounds:int -> Umlfront_simulink.Model.t -> generated
-(** @raise Umlfront_dataflow.Exec.Deadlock on a zero-delay cycle. *)
+(** Actors, S-Functions and worker threads are named through one
+    {!Umlfront_transform.M2t.make_namer} namespace each, so block paths
+    that sanitize alike still produce compilable C.
+    @raise Umlfront_dataflow.Exec.Deadlock on a zero-delay cycle. *)
 
 val save : ?rounds:int -> Umlfront_simulink.Model.t -> dir:string -> unit
-
-val sanitize : string -> string
-(** Map an arbitrary block path to a C identifier.  The mapping alone
-    is lossy (["a.b"] and ["a_b"] both yield ["a_b"]); {!generate}
-    disambiguates colliding identifiers with [_2], [_3], … suffixes
-    per namespace (actors, S-Functions, worker threads), so colliding
-    block paths still produce compilable C. *)

@@ -12,42 +12,6 @@ module Sdf = Umlfront_dataflow.Sdf
 module Exec = Umlfront_dataflow.Exec
 module M2t = Umlfront_transform.M2t
 
-let sanitize s =
-  let mapped =
-    String.map
-      (fun c ->
-        if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-        then c
-        else '_')
-      s
-  in
-  if mapped = "" || (mapped.[0] >= '0' && mapped.[0] <= '9') then "x" ^ mapped
-  else mapped
-
-(* [sanitize] is lossy ("a.b" and "a_b" both map to "a_b"), so every
-   generation scopes its identifiers through a memoized namer: the
-   first name to claim an identifier keeps it, later claimants get a
-   [_2], [_3], … suffix.  Deterministic, because claim order is. *)
-let make_namer () =
-  let assigned = Hashtbl.create 16 and taken = Hashtbl.create 16 in
-  fun raw ->
-    match Hashtbl.find_opt assigned raw with
-    | Some ident -> ident
-    | None ->
-        let base = sanitize raw in
-        let ident =
-          if not (Hashtbl.mem taken base) then base
-          else
-            let rec next i =
-              let candidate = Printf.sprintf "%s_%d" base i in
-              if Hashtbl.mem taken candidate then next (i + 1) else candidate
-            in
-            next 2
-        in
-        Hashtbl.replace taken ident ();
-        Hashtbl.replace assigned raw ident;
-        ident
-
 (* Functional actors live under cpu/thread; top-level ports belong to
    the environment. *)
 type owner = Env | Worker of string * string
@@ -106,7 +70,7 @@ let program (m : Model.t) =
            { var = Printf.sprintf "f%d" (i + 1); protocol; edge; src; dst })
   in
   (* Worker identifiers have their own namespace: run_<cpu>_<thread>. *)
-  let worker_id = make_namer () in
+  let worker_id = M2t.make_namer M2t.sanitize in
   let workers =
     List.filter_map
       (fun a -> match owner_of a with Worker (c, th) -> Some (c, th) | Env -> None)
@@ -126,7 +90,15 @@ let program (m : Model.t) =
       order
   in
   let p =
-    { model = m; sdf; fifos; workers; env_inputs; ident = make_namer (); sfn = make_namer () }
+    {
+      model = m;
+      sdf;
+      fifos;
+      workers;
+      env_inputs;
+      ident = M2t.make_namer M2t.sanitize;
+      sfn = M2t.make_namer M2t.sanitize;
+    }
   in
   (* Claim every identifier up front, so all three dialects name the
      same actor the same way whatever order they emit in. *)

@@ -1,45 +1,24 @@
-(** Explicit metamodels and dynamic-model bridges.
+(** The Simulink (CAAM) metamodel and its dynamic-model bridge.
 
-    The paper's mapping flow (Fig. 2) is metamodel-driven: the UML
-    model is captured against a source metamodel, the transformation
-    produces an XML document conforming to the {e Simulink (CAAM)
-    meta-model} (the E-core artifact between steps 2 and 4), and rule
-    technologies like smartQVT/ATL operate on those metamodels.
-
-    This module declares the three metamodels as
-    {!Umlfront_metamodel.Meta} values and converts between the typed
-    OCaml representations and dynamic {!Umlfront_metamodel.Mmodel}
-    instances, so the generic {!Umlfront_transform.Engine} and the
-    E-core serialization can be used on real flow artifacts. *)
+    The paper's mapping flow (Fig. 2) writes the transformation's
+    result as an XML document conforming to the {e Simulink (CAAM)
+    meta-model}: the E-core artifact between steps 2 and 4.  Here the
+    typed {!Mapping} plays the smartQVT/ATL role and records the trace
+    links; this module declares the target metamodel as a
+    {!Umlfront_metamodel.Meta} value and converts a CAAM to and from a
+    dynamic {!Umlfront_metamodel.Mmodel} instance, so that
+    {!Flow.ecore_xml} can print the artifact and a reader can load it
+    back. *)
 
 module Meta = Umlfront_metamodel.Meta
 module Mm = Umlfront_metamodel.Mmodel
 
-val uml_mm : Meta.t
-(** Source metamodel: classes/operations/parameters, objects,
-    deployment, sequence diagrams, statecharts. *)
-
 val simulink_mm : Meta.t
 (** Target metamodel of the dataflow branch: Model / System / Block /
     Param / Line, with CAAM annotations carried as block params. *)
-
-val fsm_mm : Meta.t
-(** Target metamodel of the control branch: Fsm / State / Transition /
-    Action. *)
-
-(** {1 UML bridges} *)
-
-val uml_to_mmodel : Umlfront_uml.Model.t -> Mm.t
-
-(** {1 Simulink bridges} *)
 
 val simulink_to_mmodel : Umlfront_simulink.Model.t -> Mm.t
 
 val mmodel_to_simulink : Mm.t -> Umlfront_simulink.Model.t
 (** Inverse of {!simulink_to_mmodel}.
     @raise Invalid_argument on a non-conforming model. *)
-
-(** {1 FSM bridges} *)
-
-val fsm_to_mmodel : Umlfront_fsm.Fsm.t -> Mm.t
-val mmodel_to_fsms : Mm.t -> Umlfront_fsm.Fsm.t list

@@ -16,16 +16,18 @@ type lexer = { input : string; mutable pos : int }
 
 let peek lx = if lx.pos < String.length lx.input then Some lx.input.[lx.pos] else None
 
-let skip_spaces lx =
+let skip_while lx p =
   while
     match peek lx with
-    | Some (' ' | '\t') ->
+    | Some c when p c ->
         lx.pos <- lx.pos + 1;
         true
     | Some _ | None -> false
   do
     ()
   done
+
+let skip_spaces lx = skip_while lx (fun c -> c = ' ' || c = '\t')
 
 let looking_at lx s =
   let n = String.length s in
@@ -106,29 +108,22 @@ and parse_factor lx =
     match peek lx with
     | Some c when is_digit c || c = '.' ->
         let start = lx.pos in
-        while
+        skip_while lx (fun c -> is_digit c || c = '.');
+        (* An exponent, as the printer writes [1e+15]: [e] or [E], an
+           optional sign and at least one digit.  Without the digit the
+           [e] is not part of the number. *)
+        let mantissa_end = lx.pos in
+        if eat lx "e" || eat lx "E" then (
+          ignore (eat lx "+" || eat lx "-");
           match peek lx with
-          | Some c when is_digit c || c = '.' ->
-              lx.pos <- lx.pos + 1;
-              true
-          | Some _ | None -> false
-        do
-          ()
-        done;
+          | Some c when is_digit c -> skip_while lx is_digit
+          | Some _ | None -> lx.pos <- mantissa_end);
         let text = String.sub lx.input start (lx.pos - start) in
         (try Num (float_of_string text)
          with Failure _ -> raise (Syntax ("bad number " ^ text)))
     | Some c when is_ident_char c && not (is_digit c) ->
         let start = lx.pos in
-        while
-          match peek lx with
-          | Some c when is_ident_char c ->
-              lx.pos <- lx.pos + 1;
-              true
-          | Some _ | None -> false
-        do
-          ()
-        done;
+        skip_while lx is_ident_char;
         Var (String.sub lx.input start (lx.pos - start))
     | Some c -> raise (Syntax (Printf.sprintf "unexpected %C" c))
     | None -> raise (Syntax "unexpected end of guard")

@@ -13,6 +13,7 @@
       arith := term (('+'|'-') term)*
       term  := factor (('*'|'/') factor)*
       factor := number | identifier | '(' expr ')'
+      number := [0-9.]+ ([eE] [+-]? [0-9]+)?
     v}
 
     A bare arithmetic expression is truthy when non-zero. *)

@@ -50,7 +50,9 @@ let to_xml m =
   Xml.element
     ~attrs:[ ("metamodel", mm.Meta.mm_name) ]
     "model"
-    (List.map (object_to_xml m) (Mmodel.roots m))
+    (Mmodel.objects m
+    |> List.filter (fun o -> Mmodel.container m o = None)
+    |> List.map (object_to_xml m))
 
 let to_string m = Xml.to_string (to_xml m)
 
@@ -105,10 +107,3 @@ let of_xml mm doc =
   m
 
 let of_string mm s = of_xml mm (Xml.parse_string s)
-
-let save m path =
-  let oc = open_out path in
-  output_string oc (to_string m);
-  close_out oc
-
-let load mm path = of_xml mm (Xml.parse_file path)

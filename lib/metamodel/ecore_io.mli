@@ -12,8 +12,3 @@ val of_xml : Meta.t -> Umlfront_xml.Xml.t -> Mmodel.t
     metamodel. *)
 
 val of_string : Meta.t -> string -> Mmodel.t
-
-val save : Mmodel.t -> string -> unit
-(** [save m path] writes the serialized model to [path]. *)
-
-val load : Meta.t -> string -> Mmodel.t

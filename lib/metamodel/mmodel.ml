@@ -131,10 +131,6 @@ let add_ref m ~src name ~dst =
   in
   src.ref_slots <- (name, updated) :: List.remove_assoc name src.ref_slots
 
-let set_ref m ~src name ~dst =
-  src.ref_slots <- List.remove_assoc name src.ref_slots;
-  List.iter (fun d -> add_ref m ~src name ~dst:d) dst
-
 let refs m o name =
   ignore (ref_meta m o name);
   match List.assoc_opt name o.ref_slots with
@@ -142,37 +138,6 @@ let refs m o name =
   | Some ids -> List.filter_map (find m) ids
 
 let ref1 m o name = match refs m o name with [] -> None | first :: _ -> Some first
-
-let remove_ref m ~src name ~dst =
-  ignore (ref_meta m src name);
-  match List.assoc_opt name src.ref_slots with
-  | None -> ()
-  | Some ids ->
-      let ids = List.filter (fun i -> not (String.equal i dst.obj_id)) ids in
-      src.ref_slots <- (name, ids) :: List.remove_assoc name src.ref_slots
-
-let contained_children m o =
-  Meta.all_references m.mm o.obj_class
-  |> List.filter (fun r -> r.Meta.ref_containment)
-  |> List.concat_map (fun r -> refs m o r.Meta.ref_name)
-
-let delete m o =
-  let rec collect acc o =
-    let acc = o.obj_id :: acc in
-    List.fold_left collect acc (contained_children m o)
-  in
-  let doomed = collect [] o in
-  List.iter (Hashtbl.remove m.table) doomed;
-  m.order <- List.filter (fun oid -> not (List.mem oid doomed)) m.order;
-  let purge survivor =
-    survivor.ref_slots <-
-      List.map
-        (fun (name, ids) -> (name, List.filter (fun i -> not (List.mem i doomed)) ids))
-        survivor.ref_slots
-  in
-  List.iter purge (objects m)
-
-let roots m = objects m |> List.filter (fun o -> container m o = None)
 
 type violation = { object_id : string; complaint : string }
 

@@ -33,10 +33,6 @@ val objects : t -> obj list
 val all_of_class : t -> string -> obj list
 (** Instances of the class or any subclass, in creation order. *)
 
-val delete : t -> obj -> unit
-(** Remove the object, its containment subtree, and all references to
-    the removed objects. *)
-
 (** {1 Attributes} *)
 
 val set : t -> obj -> string -> value -> unit
@@ -62,16 +58,11 @@ val add_ref : t -> src:obj -> string -> dst:obj -> unit
     mismatch, or a containment violation (object already contained
     elsewhere). *)
 
-val set_ref : t -> src:obj -> string -> dst:obj list -> unit
 val refs : t -> obj -> string -> obj list
 val ref1 : t -> obj -> string -> obj option
-val remove_ref : t -> src:obj -> string -> dst:obj -> unit
 
 val container : t -> obj -> obj option
 (** The object containing this one, if any. *)
-
-val roots : t -> obj list
-(** Objects with no container, in creation order. *)
 
 (** {1 Validation} *)
 

@@ -18,11 +18,6 @@ let targets_of ?rule t source =
   |> List.filter (fun l -> List.mem source l.sources)
   |> List.concat_map (fun l -> l.targets)
 
-let sources_of ?rule t target =
-  matching ?rule t
-  |> List.filter (fun l -> List.mem target l.targets)
-  |> List.concat_map (fun l -> l.sources)
-
 let rules t = links t |> List.map (fun l -> l.rule) |> List.sort_uniq compare
 let size t = List.length t.entries
 

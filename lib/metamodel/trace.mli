@@ -13,7 +13,6 @@ val targets_of : ?rule:string -> t -> string -> string list
 (** Targets produced from the given source id (optionally restricted to
     one rule), in recording order. *)
 
-val sources_of : ?rule:string -> t -> string -> string list
 val rules : t -> string list
 val size : t -> int
 val pp : Format.formatter -> t -> unit

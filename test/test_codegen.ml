@@ -1,5 +1,6 @@
 module Gen_threads = Umlfront_codegen.Gen_threads
 module Gen_java = Umlfront_codegen.Gen_java
+module M2t = Umlfront_transform.M2t
 module Fifo = Umlfront_codegen.Fifo_runtime
 module Sdf = Umlfront_dataflow.Sdf
 module Exec = Umlfront_dataflow.Exec
@@ -141,8 +142,8 @@ let occurrences needle haystack =
 let structure_tests =
   [
     test "sanitize produces identifiers" (fun () ->
-        check Alcotest.string "slashes" "CPU1_T1_calc" (Gen_threads.sanitize "CPU1/T1/calc");
-        check Alcotest.string "leading digit" "x1abc" (Gen_threads.sanitize "1abc"));
+        check Alcotest.string "slashes" "CPU1_T1_calc" (M2t.sanitize "CPU1/T1/calc");
+        check Alcotest.string "leading digit" "x1abc" (M2t.sanitize "1abc"));
     test "one thread function per Thread-SS" (fun () ->
         let { Gen_threads.files } = generated () in
         let model_c = List.assoc "model.c" files in

@@ -1,7 +1,6 @@
 (* Tests for the extension features: activity diagrams (§6 future
-   work), design-space exploration, the explicit-metamodel bridges, the
-   generic-engine statechart transformation, auto-layout, SystemC
-   generation, and trace export. *)
+   work), design-space exploration, the Simulink metamodel bridge,
+   auto-layout, SystemC generation, and trace export. *)
 
 module U = Umlfront_uml
 module Core = Umlfront_core
@@ -197,9 +196,6 @@ let dse_tests =
 
 let metamodel_bridge_tests =
   [
-    test "uml_to_mmodel conforms to the uml metamodel" (fun () ->
-        let m = Core.Metamodels.uml_to_mmodel (Cs.Didactic.model ()) in
-        check Alcotest.int "valid" 0 (List.length (Mm.validate m)));
     test "simulink round-trip preserves the CAAM" (fun () ->
         let out = Core.Flow.run (Cs.Didactic.model ()) in
         let dynamic = Core.Metamodels.simulink_to_mmodel out.Core.Flow.caam in
@@ -215,49 +211,6 @@ let metamodel_bridge_tests =
         let back = Core.Metamodels.mmodel_to_simulink reloaded in
         check Alcotest.(list (pair string int)) "stats" (Model.stats out.Core.Flow.caam)
           (Model.stats back));
-    test "fsm round-trip preserves behaviour" (fun () ->
-        let chart = Cs.Elevator_system.mode_chart in
-        let fsm = Umlfront_fsm.Flatten.run chart in
-        let back =
-          match Core.Metamodels.mmodel_to_fsms (Core.Metamodels.fsm_to_mmodel fsm) with
-          | [ f ] -> f
-          | _ -> Alcotest.fail "expected one fsm"
-        in
-        let traces =
-          [ [ "call_above"; "arrived" ]; [ "call_below"; "reverse"; "arrived"; "timeout" ] ]
-        in
-        check Alcotest.bool "equal" true (Fsm.simulate_equal fsm back traces));
-  ]
-
-let m2m_tests =
-  [
-    test "generic engine agrees with the typed pipeline" (fun () ->
-        let uml = Cs.Elevator_system.model () in
-        let typed = Core.Uml2fsm.run uml in
-        let generic = Core.M2m.run uml in
-        check Alcotest.(list string) "names" (List.map fst typed) (List.map fst generic);
-        List.iter
-          (fun (name, (g : Core.Uml2fsm.generated)) ->
-            let via_engine = List.assoc name generic in
-            let events = Fsm.events g.Core.Uml2fsm.fsm in
-            let traces =
-              [ events; List.rev events; events @ events; [] ]
-            in
-            check Alcotest.bool name true
-              (Fsm.simulate_equal g.Core.Uml2fsm.fsm via_engine traces))
-          typed);
-    test "trace links every chart element" (fun () ->
-        let uml = Cs.Elevator_system.model () in
-        let _, links = Core.M2m.run_traced uml in
-        check Alcotest.bool "chart rule" true
-          (List.mem "chart2fsm" (Umlfront_metamodel.Trace.rules links));
-        check Alcotest.bool "states rule" true
-          (List.mem "state2state" (Umlfront_metamodel.Trace.rules links)));
-    test "initial state preserved" (fun () ->
-        let uml = Cs.Elevator_system.model () in
-        let generic = Core.M2m.run uml in
-        let fsm = List.assoc "elevator_mode" generic in
-        check Alcotest.string "idle" "idle" fsm.Fsm.initial);
   ]
 
 let layout_tests =
@@ -544,7 +497,6 @@ let suite =
     ("ext:activity", activity_tests);
     ("ext:dse", dse_tests);
     ("ext:metamodels", metamodel_bridge_tests);
-    ("ext:m2m", m2m_tests);
     ("ext:layout", layout_tests);
     ("ext:systemc", systemc_tests);
     ("ext:export", export_tests);

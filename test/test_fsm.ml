@@ -339,6 +339,25 @@ let deep_history_tests =
         | _ -> Alcotest.fail "chart lost");
   ]
 
+(* Writes the FSM's C and [stub] (which sees its header), compiles both
+   with cc and returns the program's exit code; 125 if cc fails. *)
+let compile_and_run fsm stub =
+  let dir = Filename.temp_file "fsmgen" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Codegen_c.save fsm ~dir;
+  let name = fsm.F.fsm_name in
+  let oc = open_out (Filename.concat dir "stub.c") in
+  Printf.fprintf oc "#include \"%s.h\"\n%s" name stub;
+  close_out oc;
+  let bin = Filename.concat dir "t" in
+  let cc =
+    Printf.sprintf "cc -o %s %s %s 2>/dev/null" bin
+      (Filename.concat dir (name ^ ".c"))
+      (Filename.concat dir "stub.c")
+  in
+  if Sys.command cc <> 0 then 125 else Sys.command bin
+
 let codegen_tests =
   [
     test "header declares enums and step" (fun () ->
@@ -373,6 +392,47 @@ let codegen_tests =
         in
         check Alcotest.int "gcc ok" 0 (Sys.command cmd);
         check Alcotest.int "runs & transitions" 0 (Sys.command bin));
+    test "callbacks that sanitize alike compile and step apart" (fun () ->
+        (* Opaque guards "x > 1" and "x < 1" both sanitize to x___1, and
+           actions "beep.hi" and "beep_hi" to beep_hi; the stubs tell
+           each pair apart. *)
+        let ctl =
+          F.make ~name:"ctl" ~initial:"off" ~states:[ "off"; "hi"; "lo" ]
+            [ tr "off" "go" "hi" ~guard:"x > 1" ~actions:[ "beep.hi" ];
+              tr "off" "go" "lo" ~guard:"x < 1" ~actions:[ "beep_hi" ] ]
+        in
+        check Alcotest.int "cc ok, steps through both guards" 0
+          (compile_and_run ctl
+             "double x;\n\
+              static int beeps;\n\
+              bool ctl_guard_x___1(void) { return x < 1; }\n\
+              bool ctl_guard_x___1_2(void) { return x > 1; }\n\
+              void ctl_action_beep_hi(void) { beeps += 1; }\n\
+              void ctl_action_beep_hi_2(void) { beeps += 10; }\n\
+              int main(void) {\n\
+             \  x = 2;\n\
+             \  if (ctl_step(ctl_initial(), CTL_EV_GO) != CTL_ST_HI || beeps != 1) return 1;\n\
+             \  x = 0;\n\
+             \  if (ctl_step(ctl_initial(), CTL_EV_GO) != CTL_ST_LO || beeps != 11) return 2;\n\
+             \  x = 1;\n\
+             \  return ctl_step(ctl_initial(), CTL_EV_GO) == CTL_ST_OFF ? 0 : 3;\n\
+              }\n"));
+    test "states and events that uppercase alike get distinct constants" (fun () ->
+        let ctl =
+          F.make ~name:"ctl" ~initial:"off" ~states:[ "off"; "On"; "ON" ]
+            [ tr "off" "go" "On"; tr "On" "go" "ON"; tr "On" "reset" "off";
+              tr "ON" "RESET" "off" ]
+        in
+        check Alcotest.int "cc ok, steps apart" 0
+          (compile_and_run ctl
+             "int main(void) {\n\
+             \  ctl_state_t on = ctl_step(ctl_initial(), CTL_EV_GO);\n\
+             \  ctl_state_t up = ctl_step(on, CTL_EV_GO);\n\
+             \  if (on != CTL_ST_ON || up != CTL_ST_ON_2) return 1;\n\
+             \  if (ctl_step(on, CTL_EV_RESET_2) != CTL_ST_OFF) return 2;\n\
+             \  if (ctl_step(on, CTL_EV_RESET) != on) return 3;\n\
+             \  return ctl_step(up, CTL_EV_RESET) == CTL_ST_OFF ? 0 : 4;\n\
+              }\n"));
     test "dot export names every state" (fun () ->
         let d = Dot.to_string toggle in
         check Alcotest.bool "has states" true

@@ -48,18 +48,31 @@ let parse_tests =
         check Alcotest.string "seventeen digits" "0.30000000000000004"
           (E.to_string (E.Num (0.1 +. 0.2)));
         check Alcotest.string "the shortest that reads back" "0.1" (E.to_string (E.Num 0.1)));
-    (* The grammar reads digits and dots only, so the constants it can
-       hold are the non-negative ones that print without an exponent:
-       0 and [1e-4, 1e15). *)
+    test "constants with exponents parse and evaluate" (fun () ->
+        check Alcotest.bool "above 1e15" true (holds [ ("x", 2e15) ] "x > 1e15");
+        check Alcotest.bool "at 1e15" false (holds [ ("x", 1e15) ] "x > 1e15");
+        check Alcotest.bool "above 2.5e-7" true (holds [ ("x", 3e-7) ] "x > 2.5e-7");
+        check Alcotest.bool "below 2.5e-7" false (holds [ ("x", 2e-7) ] "x > 2.5e-7");
+        check Alcotest.string "the printer's own form" "(x > 1e+15)"
+          (E.to_string (E.parse_exn "x > 1E+15"));
+        check Alcotest.bool "an exponent needs a digit" true (Result.is_error (E.parse "x > 1e")));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"constants round-trip through parse (to_string _)" ~count:500
          (QCheck.make ~print:(Printf.sprintf "%h")
             QCheck.Gen.(
+              (* Floats by bit pattern: [below_bits (bits_of_float f)]
+                 draws from [0, f). *)
+              let below_bits limit =
+                map
+                  (fun b -> Int64.float_of_bits (Int64.rem (Int64.logand b Int64.max_int) limit))
+                  int64
+              in
               oneof
                 [
+                  oneofl [ 0.; Float.succ 0.; Float.min_float; max_float ];
+                  below_bits (Int64.succ (Int64.bits_of_float max_float));
+                  below_bits (Int64.bits_of_float Float.min_float);
                   map float_of_int (int_range 0 999_999_999_999_999);
-                  float_range 1e-4 1e15;
-                  float_range 1e-4 1.;
                   map (fun n -> float_of_int n /. 1000.) (int_range 0 1_000_000_000);
                 ]))
          (fun f ->

@@ -143,14 +143,6 @@ let model_tests =
           (Option.map Mm.id (Mm.container m book));
         check Alcotest.(option string) "author free" None
           (Option.map Mm.id (Mm.container m author)));
-    test "roots excludes contained" (fun () ->
-        let m, _, _, _ = sample_model () in
-        check Alcotest.int "roots" 2 (List.length (Mm.roots m)));
-    test "delete cascades containment and purges refs" (fun () ->
-        let m, lib, book, _ = sample_model () in
-        Mm.delete m lib;
-        check Alcotest.bool "book gone" true (Mm.find m (Mm.id book) = None);
-        check Alcotest.int "one left" 1 (Mm.size m));
     test "all_of_class includes subclasses" (fun () ->
         let m, _, _, _ = sample_model () in
         check Alcotest.int "named" 3 (List.length (Mm.all_of_class m "Named")));
@@ -207,10 +199,6 @@ let trace_tests =
         Trace.record t ~rule:"r1" ~sources:[ "a" ] ~targets:[ "x" ];
         Trace.record t ~rule:"r2" ~sources:[ "a" ] ~targets:[ "y" ];
         check Alcotest.(list string) "only r2" [ "y" ] (Trace.targets_of ~rule:"r2" t "a"));
-    test "sources_of inverse" (fun () ->
-        let t = Trace.create () in
-        Trace.record t ~rule:"r" ~sources:[ "a"; "b" ] ~targets:[ "x" ];
-        check Alcotest.(list string) "sources" [ "a"; "b" ] (Trace.sources_of t "x"));
     test "rules deduped sorted" (fun () ->
         let t = Trace.create () in
         Trace.record t ~rule:"z" ~sources:[] ~targets:[];

@@ -319,66 +319,6 @@ let caam_tests =
         check Alcotest.bool "flagged" true (Caam.check (Model.make ~name:"m" top) <> []));
   ]
 
-module Diff = Umlfront_simulink.Model_diff
-
-let diff_tests =
-  [
-    test "identical models are equivalent" (fun () ->
-        check Alcotest.bool "eq" true (Diff.equivalent (two_level ()) (two_level ())));
-    test "position differences are ignored by default" (fun () ->
-        let m = two_level () in
-        let laid = Umlfront_simulink.Layout.run m in
-        check Alcotest.bool "eq" true (Diff.equivalent m laid);
-        check Alcotest.bool "neq with empty ignore" false
-          (Diff.equivalent ~ignore_params:[] m laid));
-    test "added block and line reported with path" (fun () ->
-        let m = two_level () in
-        let root = S.add_block ~params:[ ("Gain", B.P_float 5.0) ] m.Model.root B.Gain "extra" in
-        let m' = Model.make ~name:m.Model.model_name root in
-        match Diff.diff m m' with
-        | [ Diff.Block_added ([], "extra") ] -> ()
-        | changes ->
-            Alcotest.fail
-              (Format.asprintf "unexpected: %a"
-                 (Format.pp_print_list Diff.pp_change)
-                 changes));
-    test "param change reported" (fun () ->
-        let m = two_level () in
-        let root =
-          S.map_systems
-            (fun path sys ->
-              if path = [ "sub" ] then S.set_param sys "g" "Gain" (B.P_float 3.0) else sys)
-            m.Model.root
-        in
-        let m' = Model.make ~name:m.Model.model_name root in
-        match Diff.diff m m' with
-        | [ Diff.Param_changed ([ "sub" ], "g", "Gain", Some (B.P_float 2.0), Some (B.P_float 3.0)) ] -> ()
-        | _ -> Alcotest.fail "expected one param change");
-    test "nested removal reported per block" (fun () ->
-        let m = two_level () in
-        let root =
-          { m.Model.root with S.sys_blocks =
-              List.filter (fun (b : S.block) -> b.S.blk_name <> "sub") m.Model.root.S.sys_blocks;
-            S.sys_lines = [] }
-        in
-        let m' = Model.make ~name:m.Model.model_name root in
-        let removed =
-          Diff.diff m m'
-          |> List.filter (function Diff.Block_removed _ -> true | _ -> false)
-        in
-        check Alcotest.int "one top-level removal" 1 (List.length removed));
-    test "line changes reported" (fun () ->
-        let m = two_level () in
-        let root =
-          S.remove_line m.Model.root ~src:{ S.block = "src"; S.port = 1 }
-            ~dst:{ S.block = "sub"; S.port = 1 }
-        in
-        let m' = Model.make ~name:m.Model.model_name root in
-        match Diff.diff m m' with
-        | [ Diff.Line_removed ([], _) ] -> ()
-        | _ -> Alcotest.fail "expected one removed line");
-  ]
-
 let suite =
   [
     ("simulink:block", block_tests);
@@ -386,7 +326,6 @@ let suite =
     ("simulink:library", library_tests);
     ("simulink:mdl", mdl_tests);
     ("simulink:caam", caam_tests);
-    ("simulink:diff", diff_tests);
   ]
 
 (* shared with other test modules *)

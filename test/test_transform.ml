@@ -1,125 +1,7 @@
-module Meta = Umlfront_metamodel.Meta
-module Mm = Umlfront_metamodel.Mmodel
-module Engine = Umlfront_transform.Engine
 module M2t = Umlfront_transform.M2t
 
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
-
-(* Source metamodel: a tiny class diagram.  Target: a relational
-   schema.  Class2Table / Attribute2Column is the canonical ATL demo. *)
-let class_mm =
-  Meta.create ~name:"class"
-    [
-      Meta.metaclass "Class"
-        ~attributes:[ Meta.attribute ~required:true "name" Meta.T_string ]
-        ~references:[ Meta.reference ~containment:true ~many:true "attributes" "Attribute" ];
-      Meta.metaclass "Attribute"
-        ~attributes:
-          [
-            Meta.attribute ~required:true "name" Meta.T_string;
-            Meta.attribute "derived" Meta.T_bool;
-          ];
-    ]
-
-let table_mm =
-  Meta.create ~name:"relational"
-    [
-      Meta.metaclass "Table"
-        ~attributes:[ Meta.attribute ~required:true "name" Meta.T_string ]
-        ~references:[ Meta.reference ~containment:true ~many:true "columns" "Column" ];
-      Meta.metaclass "Column"
-        ~attributes:[ Meta.attribute ~required:true "name" Meta.T_string ];
-    ]
-
-let sample_source () =
-  let m = Mm.create class_mm in
-  let person = Mm.new_object ~id:"person" m "Class" in
-  Mm.set_string m person "name" "Person";
-  let age = Mm.new_object ~id:"age" m "Attribute" in
-  Mm.set_string m age "name" "age";
-  let label = Mm.new_object ~id:"label" m "Attribute" in
-  Mm.set_string m label "name" "label";
-  Mm.set_bool m label "derived" true;
-  Mm.add_ref m ~src:person "attributes" ~dst:age;
-  Mm.add_ref m ~src:person "attributes" ~dst:label;
-  m
-
-let class2table =
-  Engine.rule ~name:"class2table" ~source:"Class"
-    (fun ctx obj ->
-      let table = Mm.new_object ctx.Engine.target "Table" in
-      Mm.set_string ctx.Engine.target table "name"
-        (Option.value (Mm.get_string obj "name") ~default:"?");
-      [ table ])
-    ~bind:(fun ctx obj targets ->
-      match targets with
-      | [ table ] ->
-          Mm.refs ctx.Engine.source obj "attributes"
-          |> List.iter (fun attr ->
-                 match Engine.resolve ~rule:"attr2column" ctx attr with
-                 | Some col -> Mm.add_ref ctx.Engine.target ~src:table "columns" ~dst:col
-                 | None -> ())
-      | _ -> ())
-
-let attr2column =
-  Engine.rule ~name:"attr2column" ~source:"Attribute"
-    ~guard:(fun _ obj -> Mm.get_bool obj "derived" <> Some true)
-    (fun ctx obj ->
-      let col = Mm.new_object ctx.Engine.target "Column" in
-      Mm.set_string ctx.Engine.target col "name"
-        (Option.value (Mm.get_string obj "name") ~default:"?");
-      [ col ])
-
-let run_sample () =
-  Engine.run ~rules:[ class2table; attr2column ] ~source:(sample_source ())
-    ~target_metamodel:table_mm
-
-let engine_tests =
-  [
-    test "produce phase creates targets" (fun () ->
-        let r = run_sample () in
-        check Alcotest.int "1 table" 1 (List.length (Mm.all_of_class r.Engine.output "Table"));
-        check Alcotest.int "1 column" 1 (List.length (Mm.all_of_class r.Engine.output "Column")));
-    test "guard filters derived attributes" (fun () ->
-        let r = run_sample () in
-        let cols = Mm.all_of_class r.Engine.output "Column" in
-        check Alcotest.(list (option string)) "only age" [ Some "age" ]
-          (List.map (fun c -> Mm.get_string c "name") cols));
-    test "bind phase wires references via trace" (fun () ->
-        let r = run_sample () in
-        match Mm.all_of_class r.Engine.output "Table" with
-        | [ table ] ->
-            check Alcotest.int "one column wired" 1
-              (List.length (Mm.refs r.Engine.output table "columns"))
-        | _ -> Alcotest.fail "expected one table");
-    test "applied counts per rule" (fun () ->
-        let r = run_sample () in
-        check Alcotest.(option int) "class2table" (Some 1)
-          (List.assoc_opt "class2table" r.Engine.applied);
-        check Alcotest.(option int) "attr2column" (Some 1)
-          (List.assoc_opt "attr2column" r.Engine.applied));
-    test "trace links source to target ids" (fun () ->
-        let r = run_sample () in
-        check Alcotest.int "person traced" 1
-          (List.length (Umlfront_metamodel.Trace.targets_of r.Engine.links "person")));
-    test "target model validates" (fun () ->
-        let r = run_sample () in
-        check Alcotest.int "clean" 0 (List.length (Mm.validate r.Engine.output)));
-    test "subclass matching applies superclass rules" (fun () ->
-        let mm =
-          Meta.create ~name:"s"
-            [ Meta.metaclass "Base"; Meta.metaclass ~super:"Base" "Derived" ]
-        in
-        let src = Mm.create mm in
-        ignore (Mm.new_object src "Derived");
-        let rule =
-          Engine.rule ~name:"base" ~source:"Base" (fun ctx _ ->
-              [ Mm.new_object ctx.Engine.target "Base" ])
-        in
-        let r = Engine.run ~rules:[ rule ] ~source:src ~target_metamodel:mm in
-        check Alcotest.(option int) "fired" (Some 1) (List.assoc_opt "base" r.Engine.applied));
-  ]
 
 let m2t_tests =
   [
@@ -143,4 +25,4 @@ let m2t_tests =
         check Alcotest.string "text" "x = 42;\n" (M2t.contents t));
   ]
 
-let suite = [ ("transform:engine", engine_tests); ("transform:m2t", m2t_tests) ]
+let suite = [ ("transform:m2t", m2t_tests) ]
