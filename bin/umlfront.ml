@@ -400,9 +400,9 @@ let fsm_cmd =
     else
       List.iter
         (fun (name, (g : Core.Uml2fsm.generated)) ->
-          let write ext content =
-            emit (Some (Filename.concat dir (name ^ ext))) content
-          in
+          (* The C includes "<sanitized name>.h", as Codegen_c.save names it. *)
+          let base = Filename.concat dir (Umlfront_transform.M2t.sanitize name) in
+          let write ext content = emit (Some (base ^ ext)) content in
           write ".h" g.Core.Uml2fsm.c_header;
           write ".c" g.Core.Uml2fsm.c_source;
           write ".dot" g.Core.Uml2fsm.dot)

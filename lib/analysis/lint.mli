@@ -24,7 +24,7 @@ val check_caam : Umlfront_simulink.Model.t -> Diagnostic.t list
 
 val check : uml:Umlfront_uml.Model.t -> Umlfront_simulink.Model.t -> Diagnostic.t list
 (** {!check_uml} plus {!check_caam} — the whole catalog, as run by
-    [umlfront lint] and the {!Umlfront_core.Flow} gate phase. *)
+    [umlfront lint]. *)
 
 val deny : [ `Errors | `Warnings ] -> Diagnostic.t list -> Diagnostic.t list
 (** The findings that fail the run under the given policy: errors

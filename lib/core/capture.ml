@@ -6,13 +6,7 @@ module Caam = Umlfront_simulink.Caam
 module Library = Umlfront_simulink.Library
 module Sdf = Umlfront_dataflow.Sdf
 module Exec = Umlfront_dataflow.Exec
-
-let sanitize s =
-  String.map
-    (fun c ->
-      if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') then c
-      else '_')
-    s
+module M2t = Umlfront_transform.M2t
 
 (* Reverse library lookup: the Platform method whose entry instantiates
    this block, discriminating same-type entries by their parameters
@@ -36,6 +30,11 @@ let run (m : Model.t) =
   let order = Exec.firing_order sdf in
   let actor name = Option.get (Sdf.find_actor sdf name) in
   let b = U.Builder.create (m.Model.model_name ^ "_captured") in
+  (* One identifier per actor, claimed in actor order, for the objects,
+     classes, tokens and IO operations named after it: block paths that
+     sanitize alike still yield distinct UML names. *)
+  let ident = M2t.make_namer M2t.sanitize in
+  List.iter (fun (a : Sdf.actor) -> ignore (ident a.Sdf.actor_name)) sdf.Sdf.actors;
   (* Deployment layer. *)
   List.iter
     (fun cpu ->
@@ -63,12 +62,12 @@ let run (m : Model.t) =
   List.iter
     (fun (a : Sdf.actor) ->
       if a.Sdf.actor_path <> [] && a.Sdf.actor_block.S.blk_type = B.S_function then (
-        let obj = "o_" ^ sanitize a.Sdf.actor_name in
-        U.Builder.passive_object b ~cls:("C_" ^ sanitize a.Sdf.actor_name) obj;
+        let obj = "o_" ^ ident a.Sdf.actor_name in
+        U.Builder.passive_object b ~cls:("C_" ^ ident a.Sdf.actor_name) obj;
         Hashtbl.replace sfun_object a.Sdf.actor_name obj))
     sdf.Sdf.actors;
   (* Token per producing (actor, out port). *)
-  let token_of name port = Printf.sprintf "t_%s_%d" (sanitize name) port in
+  let token_of name port = Printf.sprintf "t_%s_%d" (ident name) port in
   let arg_of name port = U.Sequence.arg (token_of name port) U.Datatype.D_float in
   let thread_of (a : Sdf.actor) =
     match a.Sdf.actor_path with
@@ -136,12 +135,12 @@ let run (m : Model.t) =
              port's token, issued by the consumer thread. *)
           once (token.U.Sequence.arg_name, "env", c) (fun () ->
               U.Builder.call b ~from:c ~target:"IODevice"
-                ("get" ^ sanitize src.Sdf.actor_name)
+                ("get" ^ ident src.Sdf.actor_name)
                 ~result:token)
       | Some p, None ->
           once (token.U.Sequence.arg_name, p, "env:" ^ dst.Sdf.actor_name) (fun () ->
               U.Builder.call b ~from:p ~target:"IODevice"
-                ("set" ^ sanitize dst.Sdf.actor_name)
+                ("set" ^ ident dst.Sdf.actor_name)
                 ~args:[ token ])
       | None, None -> ())
     sdf.Sdf.edges;

@@ -22,10 +22,10 @@ type result = {
   pareto : candidate list;
 }
 
-let evaluate ?cost_model uml k =
+let evaluate uml k =
   let out = Flow.run ~strategy:(Flow.Infer_bounded k) uml in
   let sdf = Sdf.of_model out.Flow.caam in
-  let report = Timing.evaluate ?model:cost_model sdf in
+  let report = Timing.evaluate sdf in
   let distinct_cpus =
     out.Flow.allocation |> List.map snd |> List.sort_uniq compare |> List.length
   in
@@ -41,7 +41,7 @@ let evaluate ?cost_model uml k =
     delays_inserted = out.Flow.delays_inserted;
   }
 
-let explore ?max_cpus ?cost_model ?pool uml =
+let explore ?max_cpus ?pool uml =
   let n_threads = List.length (U.Model.threads uml) in
   if n_threads = 0 then invalid_arg "dse: model has no threads";
   let limit = Option.value max_cpus ~default:n_threads in
@@ -61,7 +61,7 @@ let explore ?max_cpus ?cost_model ?pool uml =
   (* Bounding to k CPUs can yield fewer distinct clusters; keep one
      candidate per distinct platform size. *)
   let candidates =
-    sweep (fun k -> evaluate ?cost_model uml k) (List.init limit (fun i -> i + 1))
+    sweep (evaluate uml) (List.init limit (fun i -> i + 1))
     |> List.sort_uniq (fun a b -> compare a.cpus b.cpus)
   in
   Obs.Metrics.incr "dse.candidates" ~by:(List.length candidates);

@@ -26,7 +26,6 @@ type result = {
 
 val explore :
   ?max_cpus:int ->
-  ?cost_model:Umlfront_dataflow.Timing.cost_model ->
   ?pool:Umlfront_parallel.Pool.t ->
   Umlfront_uml.Model.t ->
   result

@@ -62,42 +62,11 @@ let phase name ?args f =
   Obs.Journal.record ("flow." ^ name);
   Obs.Trace.with_span ~cat:"flow" ("flow." ^ name) ?args f
 
-(* The optional gate phase: lint the source and the synthesized CAAM,
-   surface every finding as a structured event, fail the run on what
-   the policy denies.  Kept after layout so the linted model is exactly
-   the one the emitters see. *)
-let lint_gate policy uml caam =
-  let module A = Umlfront_analysis in
-  let diagnostics = phase "lint" (fun () -> A.Lint.check ~uml caam) in
-  List.iter
-    (fun (d : A.Diagnostic.t) ->
-      Obs.Events.emit
-        ~level:
-          (match d.A.Diagnostic.severity with
-          | A.Diagnostic.Error -> Logs.Error
-          | A.Diagnostic.Warning | A.Diagnostic.Info -> Logs.Warning)
-        ~src:log
-        ~fields:
-          [
-            ("code", Umlfront_obs.Json.String d.A.Diagnostic.code);
-            ("path", Umlfront_obs.Json.String (A.Diagnostic.path_to_string d));
-            ("message", Umlfront_obs.Json.String d.A.Diagnostic.message);
-          ]
-        "flow.lint.diagnostic")
-    diagnostics;
-  match A.Lint.deny policy diagnostics with
-  | [] -> ()
-  | denied ->
-      invalid_arg
-        (Printf.sprintf "flow: lint gate failed (%s): %s"
-           (A.Diagnostic.summary diagnostics)
-           (A.Diagnostic.to_line (List.hd denied)))
-
 (* The synthesis of §4.1–4.2.3: validate → allocate → map → channels →
    barriers, each under its own phase span; the caller opens the
    [flow.run] root.  Returns every phase's result, the CAAM before
    layout last. *)
-let synthesis_phases ~style ~strategy uml =
+let synthesis_phases ~strategy uml =
   let issues = phase "validate" (fun () -> Umlfront_uml.Validate.check uml) in
   Obs.Metrics.incr "flow.validate.issues" ~by:(List.length issues);
   List.iter
@@ -117,18 +86,10 @@ let synthesis_phases ~style ~strategy uml =
   let mapped =
     phase "map" (fun () ->
         Umlfront_uml.Validate.raise_first issues;
-        Mapping.run ~style ~allocation uml)
+        Mapping.run ~allocation uml)
   in
   let channelized =
-    phase "channels" @@ fun () ->
-    match style with
-    | Mapping.Caam -> Channel_inference.run mapped.Mapping.model
-    | Mapping.Flat ->
-        {
-          Channel_inference.model = mapped.Mapping.model;
-          intra_channels = 0;
-          inter_channels = 0;
-        }
+    phase "channels" (fun () -> Channel_inference.run mapped.Mapping.model)
   in
   Obs.Metrics.incr "flow.channels.intra" ~by:channelized.Channel_inference.intra_channels;
   Obs.Metrics.incr "flow.channels.inter" ~by:channelized.Channel_inference.inter_channels;
@@ -176,17 +137,16 @@ let finish caam =
    here as it fails [run]. *)
 let synthesize ?(strategy = Prefer_deployment) uml =
   root uml @@ fun () ->
-  let _, _, _, barriered = synthesis_phases ~style:Mapping.Caam ~strategy uml in
+  let _, _, _, barriered = synthesis_phases ~strategy uml in
   let caam = barriered.Loop_breaker.model in
   ignore (phase "fsm" (fun () -> Uml2fsm.run uml));
   finish caam;
   caam
 
-let run ?(style = Mapping.Caam) ?(strategy = Prefer_deployment) ?gate ?ctx uml =
+let run ?(strategy = Prefer_deployment) ?ctx uml =
   root ?ctx uml @@ fun () ->
-  let allocation, mapped, channelized, barriered = synthesis_phases ~style ~strategy uml in
+  let allocation, mapped, channelized, barriered = synthesis_phases ~strategy uml in
   let caam = phase "layout" (fun () -> Umlfront_simulink.Layout.run barriered.Loop_breaker.model) in
-  Option.iter (fun policy -> lint_gate policy uml caam) gate;
   let mdl = phase "emit" (fun () -> Umlfront_simulink.Mdl_writer.to_string caam) in
   let fsms = phase "fsm" (fun () -> Uml2fsm.run uml) in
   finish caam;

@@ -42,44 +42,35 @@ type output = {
 }
 
 val run :
-  ?style:Mapping.style ->
   ?strategy:allocation_strategy ->
-  ?gate:[ `Errors | `Warnings ] ->
   ?ctx:Umlfront_obs.Context.t ->
   Umlfront_uml.Model.t ->
   output
-(** [gate] adds a lint phase after synthesis: the UML source and the
-    generated CAAM are run through {!Umlfront_analysis.Lint.check},
-    every finding is emitted as a structured event, and findings the
-    policy denies ([`Errors], or also warnings with [`Warnings]) fail
-    the run.  Default: no gate.
-
-    [ctx] runs the flow inside an explicit telemetry context: all
+(** [ctx] runs the flow inside an explicit telemetry context: all
     spans, metrics, journal entries and tokens land in [ctx] instead of
     the process-global sinks, so concurrent runs with distinct contexts
     observe fully disjoint telemetry.  Default: the current context.
     This is the only driver that takes a context; run any other inside
     {!Umlfront_obs.Context.with_current}.
 
-    @raise Invalid_argument on a malformed model, [Use_deployment]
-    without a deployment diagram, or a denied lint finding. *)
+    @raise Invalid_argument on a malformed model or [Use_deployment]
+    without a deployment diagram. *)
 
 val synthesize :
   ?strategy:allocation_strategy ->
   Umlfront_uml.Model.t ->
   Umlfront_simulink.Model.t
 (** The synthesized CAAM of a model: {!run}'s phases up to the temporal
-    barriers, in the CAAM style, then its FSM phase, whose FSMs are
-    dropped; no layout and no [.mdl] text.  It differs from
-    [(run uml).caam] only in that no block carries a [Position]
-    parameter, which nothing but the [.mdl] text and the E-core export
-    reads: lint, simulation, conformance and the C, Java, SystemC and
-    KPN generators see the same model either way.  Records the same
-    [flow.run] root span, journal entry and [flow.runs] count as {!run},
-    over the phases it runs.
+    barriers, then its FSM phase, whose FSMs are dropped; no layout and
+    no [.mdl] text.  It differs from [(run uml).caam] only in that no
+    block carries a [Position] parameter, which nothing but the [.mdl]
+    text and the E-core export reads: lint, simulation, conformance and
+    the C, Java, SystemC and KPN generators see the same model either
+    way.  Records the same [flow.run] root span, journal entry and
+    [flow.runs] count as {!run}, over the phases it runs.
 
-    @raise Invalid_argument as {!run} does (a malformed statechart
-    included), except that it has no lint gate. *)
+    @raise Invalid_argument as {!run} does, a malformed statechart
+    included. *)
 
 val ecore_xml : output -> string
 (** The intermediate model-to-model artifact of Fig. 2: the generated

@@ -6,8 +6,6 @@ module Library = Umlfront_simulink.Library
 module Caam = Umlfront_simulink.Caam
 module Trace = Umlfront_metamodel.Trace
 
-type style = Caam | Flat
-
 type result = {
   model : Model.t;
   trace : Trace.t;
@@ -191,13 +189,11 @@ let sb_add_outport ?name sb =
 
 let sb_line sb src dst = sb.sb_lines <- { S.src; dst } :: sb.sb_lines
 
-let sb_build ~mark_roles sb =
+let sb_build sb =
   let subsystem (name, nested, role) =
-    let params =
-      if mark_roles then [ (Caam.role_param, B.P_string (Caam.role_to_string role)) ]
-      else []
-    in
-    block ~params ~system:(S.rename_system nested name) B.Subsystem name
+    block
+      ~params:[ (Caam.role_param, B.P_string (Caam.role_to_string role)) ]
+      ~system:(S.rename_system nested name) B.Subsystem name
   in
   S.make sb.sb_name
     (ports B.Inport (List.rev sb.sb_inports)
@@ -212,7 +208,7 @@ let io_port_name (m : U.Sequence.message) =
   in
   if stripped = "" then m.U.Sequence.msg_to else stripped
 
-let run ?(style = Caam) ~allocation uml =
+let run ~allocation uml =
   let trace = Trace.create () in
   let threads = U.Model.threads uml in
   List.iter
@@ -347,96 +343,70 @@ let run ?(style = Caam) ~allocation uml =
   in
   let links = List.rev !links in
   let top = new_sys_builder uml.U.Model.model_name in
-  (match style with
-  | Flat ->
-      (* Conventional Simulink model: Thread-SS at top level, plain
-         wires for every link. *)
-      List.iter
-        (fun (th, sys) ->
-          sb_add_subsystem top th sys Caam.Thread;
-          Trace.record trace ~rule:"thread_to_thread_ss" ~sources:[ th ] ~targets:[ th ])
-        thread_systems;
-      List.iter (fun name -> ignore (sb_add_inport ~name top)) (List.rev !model_inputs);
-      List.iter (fun name -> ignore (sb_add_outport ~name top)) (List.rev !model_outputs);
-      List.iter
-        (fun (src, dst) ->
-          let src_ref =
-            match src with
-            | Src_thread (th, port) -> { S.block = th; S.port = port }
-            | Src_model_in name -> { S.block = name; S.port = 1 }
-          in
-          let dst_ref =
-            match dst with
-            | Dst_thread (th, port) -> { S.block = th; S.port = port }
-            | Dst_model_out name -> { S.block = name; S.port = 1 }
-          in
-          sb_line top src_ref dst_ref)
-        links
-  | Caam ->
-      let cpus =
-        List.fold_left
-          (fun acc th ->
-            let cpu = List.assoc th allocation in
-            if List.mem cpu acc then acc else acc @ [ cpu ])
-          [] threads
-      in
-      let cpu_builders = List.map (fun c -> (c, new_sys_builder c)) cpus in
-      let cpu_builder c = List.assoc c cpu_builders in
-      let cpu_of th = List.assoc th allocation in
-      List.iter
-        (fun (th, sys) ->
-          let cpu = cpu_of th in
-          sb_add_subsystem (cpu_builder cpu) th sys Caam.Thread;
-          Trace.record trace ~rule:"thread_to_thread_ss" ~sources:[ th ]
-            ~targets:[ cpu ^ "/" ^ th ])
-        thread_systems;
-      List.iter
-        (fun cpu ->
-          Trace.record trace ~rule:"cpu_to_cpu_ss" ~sources:[ cpu ] ~targets:[ cpu ])
-        cpus;
-      List.iter (fun name -> ignore (sb_add_inport ~name top)) (List.rev !model_inputs);
-      List.iter (fun name -> ignore (sb_add_outport ~name top)) (List.rev !model_outputs);
-      List.iter
-        (fun (src, dst) ->
-          match (src, dst) with
-          | Src_thread (p, pi), Dst_thread (c, ci) ->
-              let cpu_p = cpu_of p and cpu_c = cpu_of c in
-              if String.equal cpu_p cpu_c then
-                sb_line (cpu_builder cpu_p)
-                  { S.block = p; S.port = pi }
-                  { S.block = c; S.port = ci }
-              else (
-                let out_k, out_name = sb_add_outport (cpu_builder cpu_p) in
-                sb_line (cpu_builder cpu_p)
-                  { S.block = p; S.port = pi }
-                  { S.block = out_name; S.port = 1 };
-                let in_k, in_name = sb_add_inport (cpu_builder cpu_c) in
-                sb_line (cpu_builder cpu_c)
-                  { S.block = in_name; S.port = 1 }
-                  { S.block = c; S.port = ci };
-                sb_line top
-                  { S.block = cpu_p; S.port = out_k }
-                  { S.block = cpu_c; S.port = in_k })
-          | Src_model_in name, Dst_thread (c, ci) ->
-              let cpu_c = cpu_of c in
-              let in_k, in_name = sb_add_inport (cpu_builder cpu_c) in
-              sb_line (cpu_builder cpu_c)
-                { S.block = in_name; S.port = 1 }
-                { S.block = c; S.port = ci };
-              sb_line top { S.block = name; S.port = 1 } { S.block = cpu_c; S.port = in_k }
-          | Src_thread (p, pi), Dst_model_out name ->
-              let cpu_p = cpu_of p in
-              let out_k, out_name = sb_add_outport (cpu_builder cpu_p) in
-              sb_line (cpu_builder cpu_p)
-                { S.block = p; S.port = pi }
-                { S.block = out_name; S.port = 1 };
-              sb_line top { S.block = cpu_p; S.port = out_k } { S.block = name; S.port = 1 }
-          | Src_model_in _, Dst_model_out _ -> ())
-        links;
-      List.iter
-        (fun (cpu, cb) -> sb_add_subsystem top cpu (sb_build ~mark_roles:true cb) Caam.Cpu)
-        cpu_builders);
-  let root = sb_build ~mark_roles:(style = Caam) top in
+  let cpus =
+    List.fold_left
+      (fun acc th ->
+        let cpu = List.assoc th allocation in
+        if List.mem cpu acc then acc else acc @ [ cpu ])
+      [] threads
+  in
+  let cpu_builders = List.map (fun c -> (c, new_sys_builder c)) cpus in
+  let cpu_builder c = List.assoc c cpu_builders in
+  let cpu_of th = List.assoc th allocation in
+  List.iter
+    (fun (th, sys) ->
+      let cpu = cpu_of th in
+      sb_add_subsystem (cpu_builder cpu) th sys Caam.Thread;
+      Trace.record trace ~rule:"thread_to_thread_ss" ~sources:[ th ]
+        ~targets:[ cpu ^ "/" ^ th ])
+    thread_systems;
+  List.iter
+    (fun cpu ->
+      Trace.record trace ~rule:"cpu_to_cpu_ss" ~sources:[ cpu ] ~targets:[ cpu ])
+    cpus;
+  List.iter (fun name -> ignore (sb_add_inport ~name top)) (List.rev !model_inputs);
+  List.iter (fun name -> ignore (sb_add_outport ~name top)) (List.rev !model_outputs);
+  List.iter
+    (fun (src, dst) ->
+      match (src, dst) with
+      | Src_thread (p, pi), Dst_thread (c, ci) ->
+          let cpu_p = cpu_of p and cpu_c = cpu_of c in
+          if String.equal cpu_p cpu_c then
+            sb_line (cpu_builder cpu_p)
+              { S.block = p; S.port = pi }
+              { S.block = c; S.port = ci }
+          else (
+            let out_k, out_name = sb_add_outport (cpu_builder cpu_p) in
+            sb_line (cpu_builder cpu_p)
+              { S.block = p; S.port = pi }
+              { S.block = out_name; S.port = 1 };
+            let in_k, in_name = sb_add_inport (cpu_builder cpu_c) in
+            sb_line (cpu_builder cpu_c)
+              { S.block = in_name; S.port = 1 }
+              { S.block = c; S.port = ci };
+            sb_line top
+              { S.block = cpu_p; S.port = out_k }
+              { S.block = cpu_c; S.port = in_k })
+      | Src_model_in name, Dst_thread (c, ci) ->
+          let cpu_c = cpu_of c in
+          let in_k, in_name = sb_add_inport (cpu_builder cpu_c) in
+          sb_line (cpu_builder cpu_c)
+            { S.block = in_name; S.port = 1 }
+            { S.block = c; S.port = ci };
+          sb_line top { S.block = name; S.port = 1 } { S.block = cpu_c; S.port = in_k }
+      | Src_thread (p, pi), Dst_model_out name ->
+          let cpu_p = cpu_of p in
+          let out_k, out_name = sb_add_outport (cpu_builder cpu_p) in
+          sb_line (cpu_builder cpu_p)
+            { S.block = p; S.port = pi }
+            { S.block = out_name; S.port = 1 };
+          sb_line top { S.block = cpu_p; S.port = out_k } { S.block = name; S.port = 1 }
+      | Src_model_in _, Dst_model_out _ -> ())
+    links;
+  List.iter
+    (fun (cpu, cb) -> sb_add_subsystem top cpu (sb_build cb) Caam.Cpu)
+    cpu_builders;
+  let root = sb_build top in
   let model = Model.make ~name:uml.U.Model.model_name root in
   let cross_links =
     List.length

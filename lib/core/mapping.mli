@@ -21,10 +21,6 @@
     The allocation of threads to CPUs comes either from the UML
     deployment diagram or from {!Allocation} (§4.2.3). *)
 
-type style =
-  | Caam  (** CPU-SS / Thread-SS hierarchy, the MPSoC flow input *)
-  | Flat  (** conventional Simulink model: Thread-SS at top level *)
-
 type result = {
   model : Umlfront_simulink.Model.t;
   trace : Umlfront_metamodel.Trace.t;
@@ -32,11 +28,7 @@ type result = {
   cross_links : int;  (** inter-thread data links awaiting channels *)
 }
 
-val run :
-  ?style:style ->
-  allocation:(string * string) list ->
-  Umlfront_uml.Model.t ->
-  result
+val run : allocation:(string * string) list -> Umlfront_uml.Model.t -> result
 (** [allocation] maps every thread to a CPU name.  The model is expected
     to pass {!Umlfront_uml.Validate.check}: the flow raises the first
     issue in its map phase, before it calls this.

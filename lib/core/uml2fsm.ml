@@ -8,9 +8,9 @@ type generated = {
   dot : string;
 }
 
-let run_one ?(minimize = true) chart =
+let run_one chart =
   let fsm = F.Flatten.run chart in
-  let minimized = if minimize then F.Minimize.run fsm else fsm in
+  let minimized = F.Minimize.run fsm in
   {
     fsm;
     minimized;
@@ -19,8 +19,8 @@ let run_one ?(minimize = true) chart =
     dot = F.Dot.to_string minimized;
   }
 
-let run ?minimize (uml : Umlfront_uml.Model.t) =
+let run (uml : Umlfront_uml.Model.t) =
   List.map
     (fun (chart : Umlfront_uml.Statechart.t) ->
-      (chart.Umlfront_uml.Statechart.sc_name, run_one ?minimize chart))
+      (chart.Umlfront_uml.Statechart.sc_name, run_one chart))
     uml.Umlfront_uml.Model.statecharts

@@ -11,8 +11,9 @@ type generated = {
   dot : string;
 }
 
-val run_one : ?minimize:bool -> Umlfront_uml.Statechart.t -> generated
-(** Flatten, optionally minimize, and generate C + Graphviz. *)
+val run_one : Umlfront_uml.Statechart.t -> generated
+(** Flatten, minimize, and generate C + Graphviz from the minimized
+    FSM. *)
 
-val run : ?minimize:bool -> Umlfront_uml.Model.t -> (string * generated) list
+val run : Umlfront_uml.Model.t -> (string * generated) list
 (** One entry per statechart in the model. *)

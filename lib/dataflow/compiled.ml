@@ -107,9 +107,6 @@ type op =
   | Op_sfunction of { fn : string; a : float; b : float }
       (* [a], [b]: Exec.sfunction_constants of [fn], for the default
          behaviour *)
-  | Op_custom of (float array -> float array)
-      (* an S-Function the caller's lookup supplied; never in a plan,
-         only in a run's resolved ops *)
   | Op_delay
   | Op_inport
   | Op_outport
@@ -119,7 +116,7 @@ type plan = {
   n : int;
   names : string array;
   ops : op array;
-  n_prod : int array; (* ports a firing produces; a caller's S-Function may differ *)
+  n_prod : int array; (* ports a firing produces *)
   is_delay : bool array;
   delay_init : float array;
   e_sp : int array; (* per edge: source port *)
@@ -181,7 +178,7 @@ let op_of (a : Sdf.actor) =
 let produced_of (a : Sdf.actor) = function
   | Op_const _ | Op_gain _ | Op_sum _ | Op_product | Op_saturation _ | Op_switch _
   | Op_abs | Op_sqrt | Op_unary _ | Op_minmax _ | Op_mux | Op_inport -> 1
-  | Op_demux | Op_sfunction _ | Op_custom _ -> a.Sdf.actor_outputs
+  | Op_demux | Op_sfunction _ -> a.Sdf.actor_outputs
   | Op_terminator | Op_outport | Op_delay -> 0
 
 let compile (sdf : Sdf.t) =
@@ -306,20 +303,9 @@ let compute_fixed op (ins : float array) (outs : float array) n_prod =
       Array.fill outs 0 n_prod v
   | Op_terminator -> ()
   | Op_sfunction { a; b; _ } -> Exec.default_sfunction_into ~a ~b ins outs n_prod
-  | Op_custom _ | Op_delay | Op_inport | Op_outport -> assert false
+  | Op_delay | Op_inport | Op_outport -> assert false
 
-let no_sfunctions : string -> (float array -> float array) option = fun _ -> None
-
-(* The run's ops: each S-Function looked up once, not per firing. *)
-let resolve_sfunctions sfunctions ops =
-  Array.map
-    (function
-      | Op_sfunction { fn; _ } as op -> (
-          match sfunctions fn with Some f -> Op_custom f | None -> op)
-      | op -> op)
-    ops
-
-let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds p =
+let run_plan ?stimulus ?pool ?(batch = 32) ~rounds p =
   if batch < 1 then invalid_arg "Compiled.run: batch < 1";
   let par = match pool with Some pl when Pool.size pl > 1 -> Some pl | _ -> None in
   let domains = match par with Some pl -> Pool.size pl | None -> 1 in
@@ -390,7 +376,6 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds
       ignore (Obs.Telemetry.produce ~protocols ~round ~dst ~src:name ~firing chan)
     done
   in
-  let ops = resolve_sfunctions sfunctions p.ops in
   (* ---- sequential flat interpreter: FIFO push/pop discipline ----
      Pops and pushes are written out on the rings' fields: a float
      passed to or returned from a call that is not inlined is boxed,
@@ -423,7 +408,7 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds
   in
   let fire_seq i round =
     let ins = gather_seq i in
-    (match ops.(i) with
+    (match p.ops.(i) with
     | Op_delay ->
         (* The ring still holds this round's (older) token; pushing the
            new state behind it is the snapshot semantics. *)
@@ -444,9 +429,6 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds
         let t = p.trace_of.(i) in
         if t >= 0 then trace_arrays.(t).(round) <- v;
         scatter_seq i 0 ins
-    | Op_custom f ->
-        let res = f ins in
-        scatter_seq i (Array.length res) res
     | op ->
         let outs = outs_scratch.(i) in
         compute_fixed op ins outs p.n_prod.(i);
@@ -491,7 +473,7 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds
         Fifo.set_slot rings.(e) gr (if sp >= 1 && sp <= produced then arr.(sp - 1) else 0.0)
       done
     in
-    match ops.(i) with
+    match p.ops.(i) with
     | Op_delay ->
         let v = if Array.length ins > 0 then ins.(0) else 0.0 in
         let oe = p.out_edges.(i) in
@@ -507,9 +489,6 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds
         let t = p.trace_of.(i) in
         if t >= 0 then trace_arrays.(t).(gr) <- v;
         scatter 0 ins
-    | Op_custom f ->
-        let res = f ins in
-        scatter (Array.length res) res
     | op ->
         let outs = outs_scratch.(i) in
         compute_fixed op ins outs p.n_prod.(i);
@@ -643,17 +622,7 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds
         ("firings", Obs.Json.Int (p.n * rounds));
         ("parallel", Obs.Json.Bool (par <> None));
       ];
-  if Obs.Telemetry.enabled () then
-    List.iter
-      (fun (s : Obs.Telemetry.channel_stat) ->
-        Obs.Journal.record "channel.hwm"
-          ~fields:
-            [
-              ("channel", Obs.Json.String s.Obs.Telemetry.chan_name);
-              ("hwm", Obs.Json.Int s.Obs.Telemetry.chan_hwm);
-              ("round", Obs.Json.Int s.Obs.Telemetry.chan_hwm_round);
-            ])
-      (Obs.Telemetry.channels ());
+  Exec.journal_channel_hwms ();
   {
     Exec.rounds;
     traces =
@@ -663,5 +632,5 @@ let run_plan ?(sfunctions = no_sfunctions) ?stimulus ?pool ?(batch = 32) ~rounds
     firings;
   }
 
-let run ?sfunctions ?stimulus ?pool ?batch ~rounds sdf =
-  run_plan ?sfunctions ?stimulus ?pool ?batch ~rounds (compile sdf)
+let run ?stimulus ?pool ?batch ~rounds sdf =
+  run_plan ?stimulus ?pool ?batch ~rounds (compile sdf)

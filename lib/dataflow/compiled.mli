@@ -13,8 +13,8 @@
     so the bound is the per-round token count plus the delay's initial
     token) — and then runs a firing loop that writes every output into
     the actor's preallocated slots and pushes and pops tokens without
-    boxing them.  With the default stimulus and S-Functions, a firing
-    allocates nothing but the float an Inport's stimulus returns.
+    boxing them.  With the default stimulus, a firing allocates nothing
+    but the float an Inport's stimulus returns.
 
     With a real domain pool (size > 1) it work-steals over the
     precedence DAG rather than barrier per dependency level: rounds are
@@ -25,9 +25,10 @@
     batch window so a producer can run ahead of a consumer within the
     batch without overwriting live tokens.
 
-    Either way the outcome is bit-identical to {!Exec.run}: the same
-    float operations in the same order per actor, the same default
-    stimulus, S-function fallback and unconnected-port semantics, and
+    Either way the outcome is bit-identical to {!Exec.run} without
+    [sfunctions]: the same float operations in the same order per
+    actor, the same default stimulus, S-Function pseudo-behaviour
+    ({!Exec.default_sfunction}) and unconnected-port semantics, and
     the same deterministic token-telemetry stream (replayed in
     topological order at each synchronization point, exactly as
     {!Exec.run} records it inline).  It is the only parallel SDF
@@ -78,24 +79,19 @@ val compile : Sdf.t -> plan
     check as {!Exec.firing_order}). *)
 
 val run_plan :
-  ?sfunctions:(string -> (float array -> float array) option) ->
   ?stimulus:(string -> int -> float) ->
   ?pool:Umlfront_parallel.Pool.t ->
   ?batch:int ->
   rounds:int ->
   plan ->
   Exec.outcome
-(** Execute a compiled plan.  Same optional arguments and semantics as
-    {!Exec.run}, except that [sfunctions] is resolved once per run:
-    each S-Function's [FunctionName] is looked up once, where
-    {!Exec.run} looks it up at every firing, so the lookup must answer
-    the same for a name throughout a run.  [batch] (default 32,
+(** Execute a compiled plan.  [stimulus] is {!Exec.run}'s; every
+    S-Function runs its default pseudo-behaviour.  [batch] (default 32,
     parallel mode only) is how many rounds each work-stealing phase
     covers between synchronization points.  Telemetry goes to the
     current {!Umlfront_obs.Context}. *)
 
 val run :
-  ?sfunctions:(string -> (float array -> float array) option) ->
   ?stimulus:(string -> int -> float) ->
   ?pool:Umlfront_parallel.Pool.t ->
   ?batch:int ->

@@ -277,6 +277,22 @@ let channel_metrics sdf rounds =
           ~by:(edges * rounds)))
     [ "GFIFO"; "SWFIFO" ]
 
+(* With token tracing on, persist each channel's high-water mark in the
+   journal — the part of the occupancy story worth keeping after the
+   token ring has wrapped. *)
+let journal_channel_hwms () =
+  if Obs.Telemetry.enabled () then
+    List.iter
+      (fun (s : Obs.Telemetry.channel_stat) ->
+        Obs.Journal.record "channel.hwm"
+          ~fields:
+            [
+              ("channel", Obs.Json.String s.Obs.Telemetry.chan_name);
+              ("hwm", Obs.Json.Int s.Obs.Telemetry.chan_hwm);
+              ("round", Obs.Json.Int s.Obs.Telemetry.chan_hwm_round);
+            ])
+      (Obs.Telemetry.channels ())
+
 let run ?sfunctions ?stimulus ~rounds sdf =
   Obs.Trace.with_span ~cat:"exec" "exec.run"
     ~args:(fun () ->
@@ -334,18 +350,5 @@ let run ?sfunctions ?stimulus ~rounds sdf =
         ( "firings",
           Obs.Json.Int (List.fold_left (fun acc (_, n) -> acc + n) 0 firings) );
       ];
-  (* With token tracing on, persist each channel's high-water mark in
-     the journal — the part of the occupancy story worth keeping after
-     the token ring has wrapped. *)
-  if Obs.Telemetry.enabled () then
-    List.iter
-      (fun (s : Obs.Telemetry.channel_stat) ->
-        Obs.Journal.record "channel.hwm"
-          ~fields:
-            [
-              ("channel", Obs.Json.String s.Obs.Telemetry.chan_name);
-              ("hwm", Obs.Json.Int s.Obs.Telemetry.chan_hwm);
-              ("round", Obs.Json.Int s.Obs.Telemetry.chan_hwm_round);
-            ])
-      (Obs.Telemetry.channels ());
+  journal_channel_hwms ();
   { rounds; traces; firings }

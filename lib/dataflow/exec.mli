@@ -126,3 +126,9 @@ val channel_metrics : Sdf.t -> int -> unit
 (** Record per-protocol channel occupancy gauges and token counters
     ([exec.channel_occupancy.*], [exec.tokens.*]) for [rounds] executed
     rounds of [sdf] — one token per edge per round. *)
+
+val journal_channel_hwms : unit -> unit
+(** With {!Umlfront_obs.Telemetry} on, journal one [channel.hwm] entry
+    per channel the token sink has seen (its high-water mark and the
+    round it was reached); a no-op otherwise.  Both executors call it
+    last in a run. *)

@@ -16,73 +16,7 @@ type outcome = {
 exception Deadlock of string list
 exception Out_of_fuel
 
-type blocked = { b_actor : string; b_op : [ `Read | `Write ]; b_channel : string }
-
-type stall = {
-  stall_reason : [ `Deadlock | `No_completion of int | `Out_of_fuel ];
-  stall_blocked : blocked list;
-  stall_channels : (string * int) list;
-  stall_steps : int;
-}
-
-exception Stalled of stall
-
-let stall_to_string st =
-  let reason =
-    match st.stall_reason with
-    | `Deadlock -> "deadlock"
-    | `No_completion budget ->
-        Printf.sprintf "no process completed within %d scheduler steps" budget
-    | `Out_of_fuel -> "out of fuel"
-  in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "kpn stalled after %d steps: %s\n" st.stall_steps reason);
-  Buffer.add_string buf "blocked actors:\n";
-  if st.stall_blocked = [] then Buffer.add_string buf "  (none recorded)\n";
-  List.iter
-    (fun b ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %s: blocked on %s %s\n" b.b_actor
-           (match b.b_op with `Read -> "read" | `Write -> "write")
-           b.b_channel))
-    st.stall_blocked;
-  Buffer.add_string buf "channel occupancy:\n";
-  if st.stall_channels = [] then Buffer.add_string buf "  (all empty)\n";
-  List.iter
-    (fun (ch, n) -> Buffer.add_string buf (Printf.sprintf "  %s: %d token(s)\n" ch n))
-    st.stall_channels;
-  Buffer.contents buf
-
-let stall_json st =
-  Obs.Json.Obj
-    [
-      ( "reason",
-        Obs.Json.String
-          (match st.stall_reason with
-          | `Deadlock -> "deadlock"
-          | `No_completion _ -> "no_completion"
-          | `Out_of_fuel -> "out_of_fuel") );
-      ("steps", Obs.Json.Int st.stall_steps);
-      ( "blocked",
-        Obs.Json.List
-          (List.map
-             (fun b ->
-               Obs.Json.Obj
-                 [
-                   ("actor", Obs.Json.String b.b_actor);
-                   ( "op",
-                     Obs.Json.String
-                       (match b.b_op with `Read -> "read" | `Write -> "write") );
-                   ("channel", Obs.Json.String b.b_channel);
-                 ])
-             st.stall_blocked) );
-      ( "channels",
-        Obs.Json.Obj
-          (List.map (fun (ch, n) -> (ch, Obs.Json.Int n)) st.stall_channels) );
-    ]
-
-let run ?(fuel = 100_000) ?capacity ?watchdog named =
+let run ?(fuel = 100_000) named =
   let channels : (string, float Queue.t) Hashtbl.t = Hashtbl.create 16 in
   let channel name =
     match Hashtbl.find_opt channels name with
@@ -96,37 +30,8 @@ let run ?(fuel = 100_000) ?capacity ?watchdog named =
   let results = ref [] in
   let steps = ref 0 in
   let progress = ref true in
-  let last_completion = ref 0 in
   let telemetry = Obs.Telemetry.enabled () in
   let writes : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  (* Snapshot of who is blocked where and what every channel holds —
-     the stall watchdog's report.  Only built on the failure paths. *)
-  let snapshot reason =
-    let blocked =
-      List.filter_map
-        (fun (name, cell) ->
-          match !cell with
-          | Read (ch, _) -> Some { b_actor = name; b_op = `Read; b_channel = ch }
-          | Write (ch, _, _) -> Some { b_actor = name; b_op = `Write; b_channel = ch }
-          | Done _ -> None)
-        !live
-      |> List.sort compare
-    in
-    {
-      stall_reason = reason;
-      stall_blocked = blocked;
-      stall_channels =
-        Hashtbl.fold (fun name q acc -> (name, Queue.length q) :: acc) channels []
-        |> List.filter (fun (_, n) -> n > 0)
-        |> List.sort compare;
-      stall_steps = !steps;
-    }
-  in
-  let stall reason =
-    let st = snapshot reason in
-    Obs.Journal.record "kpn.stall" ~fields:[ ("stall", stall_json st) ];
-    raise (Stalled st)
-  in
   while !live <> [] && !progress do
     progress := false;
     live :=
@@ -134,32 +39,20 @@ let run ?(fuel = 100_000) ?capacity ?watchdog named =
         (fun (name, cell) ->
           let rec advance p =
             cell := p;
-            if !steps >= fuel then
-              if watchdog <> None then stall `Out_of_fuel else raise Out_of_fuel;
-            (match watchdog with
-            | Some budget when !steps - !last_completion > budget ->
-                stall (`No_completion budget)
-            | _ -> ());
+            if !steps >= fuel then raise Out_of_fuel;
             match p with
             | Done v ->
                 results := (name, v) :: !results;
-                last_completion := !steps;
                 false
             | Write (ch, v, k) ->
-                let q = channel ch in
-                let full =
-                  match capacity with Some c -> Queue.length q >= c | None -> false
-                in
-                if full then true
-                else (
-                  incr steps;
-                  progress := true;
-                  Queue.push v q;
-                  if telemetry then (
-                    let n = 1 + Option.value (Hashtbl.find_opt writes name) ~default:0 in
-                    Hashtbl.replace writes name n;
-                    ignore (Obs.Telemetry.produce ~src:name ~firing:n ch));
-                  advance (k ()))
+                incr steps;
+                progress := true;
+                Queue.push v (channel ch);
+                if telemetry then (
+                  let n = 1 + Option.value (Hashtbl.find_opt writes name) ~default:0 in
+                  Hashtbl.replace writes name n;
+                  ignore (Obs.Telemetry.produce ~src:name ~firing:n ch));
+                advance (k ())
             | Read (ch, k) ->
                 let q = channel ch in
                 if Queue.is_empty q then true
@@ -180,7 +73,7 @@ let run ?(fuel = 100_000) ?capacity ?watchdog named =
     Obs.Journal.record "kpn.deadlock"
       ~fields:
         [ ("victims", Obs.Json.List (List.map (fun v -> Obs.Json.String v) victims)) ];
-    if watchdog <> None then stall `Deadlock else raise (Deadlock victims)
+    raise (Deadlock victims)
   end;
   {
     results = List.rev !results;
@@ -233,7 +126,7 @@ let zip_with ~in1 ~in2 ~out ~n f =
 
 let channel_name = Sdf.channel_name
 
-let of_sdf_actor sdf (a : Sdf.actor) ~rounds ~sfunction =
+let of_sdf_actor sdf (a : Sdf.actor) ~rounds =
   let ins = Sdf.preds sdf a.Sdf.actor_name in
   let outs = Sdf.succs sdf a.Sdf.actor_name in
   let read_all k =
@@ -267,10 +160,7 @@ let of_sdf_actor sdf (a : Sdf.actor) ~rounds ~sfunction =
     match blk.S.blk_type with
     | B.Unit_delay -> [| (if Array.length ins > 0 then ins.(0) else 0.0) |]
     | B.Inport | B.Outport -> ins
-    | _ ->
-        Exec.behaviour
-          ~sfunctions:(fun name -> Some (fun i -> sfunction name i a.Sdf.actor_outputs))
-          a ins
+    | _ -> Exec.behaviour ~sfunctions:(fun _ -> None) a ins
   in
   let rec iteration last remaining =
     if remaining = 0 then Done last
@@ -314,8 +204,5 @@ let of_sdf_actor sdf (a : Sdf.actor) ~rounds ~sfunction =
       sink_loop 0.0 rounds
   | _ -> iteration 0.0 rounds
 
-let of_sdf ?(sfunction = Exec.default_sfunction) ~rounds sdf =
-  List.map
-    (fun (a : Sdf.actor) ->
-      (a.Sdf.actor_name, of_sdf_actor sdf a ~rounds ~sfunction))
-    sdf.Sdf.actors
+let of_sdf ~rounds sdf =
+  List.map (fun (a : Sdf.actor) -> (a.Sdf.actor_name, of_sdf_actor sdf a ~rounds)) sdf.Sdf.actors

@@ -273,7 +273,7 @@ let provenance_json p =
    binding point "e"nclosing) at consumption, bound by (cat, id).
    Unconsumed tokens export only their start — Perfetto renders them
    as dangling arrows, which is exactly what an unconsumed token is. *)
-let flow_events ?(pid = 1) () =
+let flow_events () =
   List.concat_map
     (fun t ->
       let base ph ts =
@@ -283,7 +283,7 @@ let flow_events ?(pid = 1) () =
           ("ph", Json.String ph);
           ("id", Json.Int t.prov.token_id);
           ("ts", Json.Float ts);
-          ("pid", Json.Int pid);
+          ("pid", Json.Int 1);
           ("tid", Json.Int 1);
         ]
       in

@@ -67,12 +67,8 @@ let rec nonzero_hex n =
   let s = random_hex n in
   if all_zero s then nonzero_hex n else s
 
-let generate ?(sampled = true) () =
-  {
-    trace_id = nonzero_hex 32;
-    parent_id = nonzero_hex 16;
-    flags = (if sampled then 1 else 0);
-  }
+(* A fresh root, sampled. *)
+let generate () = { trace_id = nonzero_hex 32; parent_id = nonzero_hex 16; flags = 1 }
 
 (* The outbound header for a request that arrived inside [parent]'s
    trace: same trace-id and flags, this hop's own parent-id. *)

@@ -277,27 +277,6 @@ let case_study_tests =
     clean "mjpeg" CS.Mjpeg_system.model;
   ]
 
-(* --- the Flow gate phase -------------------------------------------- *)
-
-let gate_tests =
-  [
-    test "gate passes on a clean model" (fun () ->
-        ignore (Core.Flow.run ~gate:`Warnings (crane ())));
-    test "gate rejects a lint error" (fun () ->
-        match Core.Flow.run ~gate:`Errors (mut_node_without_saengine (crane ())) with
-        | exception Invalid_argument msg ->
-            check Alcotest.bool "names the gate" true (contains msg "lint gate failed");
-            check Alcotest.bool "names the rule" true (contains msg "UF005")
-        | _ -> Alcotest.fail "expected the gate to fail the run");
-    test "gate with `Errors lets warnings through, `Warnings does not" (fun () ->
-        let uml = mut_io_read_no_result (crane ()) in
-        ignore (Core.Flow.run ~gate:`Errors uml);
-        match Core.Flow.run ~gate:`Warnings uml with
-        | exception Invalid_argument msg ->
-            check Alcotest.bool "names UF004" true (contains msg "UF004")
-        | _ -> Alcotest.fail "expected --deny warnings semantics to fail the run");
-  ]
-
 (* --- per-rule counters in the metrics registry ---------------------- *)
 
 let counter_value name =
@@ -454,7 +433,6 @@ let suite =
     ("analysis: caam mutations", caam_mutation_tests);
     ("analysis: sdf rules", sdf_tests);
     ("analysis: case studies", case_study_tests @ [ qcheck_flow_lint_clean ]);
-    ("analysis: flow gate", gate_tests);
     ("analysis: synthesis", split_tests);
     ("analysis: metrics", metrics_tests);
     ("analysis: golden reports", golden_tests);

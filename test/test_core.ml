@@ -119,15 +119,6 @@ let mapping_tests =
           (Trace.targets_of ~rule:"thread_to_thread_ss" r.Core.Mapping.trace "T1");
         check Alcotest.bool "message rule used" true
           (List.mem "message_to_block" (Trace.rules r.Core.Mapping.trace)));
-    test "flat style puts threads at top level" (fun () ->
-        let uml = didactic () in
-        let r =
-          Core.Mapping.run ~style:Core.Mapping.Flat
-            ~allocation:(deployment_allocation uml) uml
-        in
-        let root = r.Core.Mapping.model.Model.root in
-        check Alcotest.bool "T1 at top" true (S.find_block root "T1" <> None);
-        check Alcotest.int "no cpus" 0 (List.length (Caam.cpus r.Core.Mapping.model)));
     test "mapped model validates structurally" (fun () ->
         let uml = didactic () in
         let r = Core.Mapping.run ~allocation:(deployment_allocation uml) uml in

@@ -63,21 +63,6 @@ let mapping_corner_tests =
                n := !n + List.length (S.blocks_of_type sys B.S_function))
              out.Core.Flow.caam.Model.root;
            !n));
-    test "flat style output executes" (fun () ->
-        let out =
-          Core.Flow.run ~style:Core.Mapping.Flat ~strategy:Core.Flow.Use_deployment
-            (Cs.Didactic.model ())
-        in
-        let outcome = Exec.run ~rounds:3 (Sdf.of_model out.Core.Flow.caam) in
-        check Alcotest.int "runs" 3 outcome.Exec.rounds;
-        check Alcotest.int "no channels in flat style" 0
-          (out.Core.Flow.intra_channels + out.Core.Flow.inter_channels));
-    test "uml2fsm without minimization keeps all states" (fun () ->
-        let chart = Cs.Elevator_system.mode_chart in
-        let g = Core.Uml2fsm.run_one ~minimize:false chart in
-        check Alcotest.int "same machine"
-          (List.length g.Core.Uml2fsm.fsm.Umlfront_fsm.Fsm.states)
-          (List.length g.Core.Uml2fsm.minimized.Umlfront_fsm.Fsm.states));
   ]
 
 let api_corner_tests =
@@ -102,15 +87,6 @@ let api_corner_tests =
         let m = Model.make ~name:"empty" (S.empty "empty") in
         let m' = Parser.parse_string (Writer.to_string m) in
         check Alcotest.int "no blocks" 0 (S.total_blocks m'.Model.root));
-    test "gantt of a flat model prints nothing" (fun () ->
-        let out =
-          Core.Flow.run ~style:Core.Mapping.Flat ~strategy:Core.Flow.Use_deployment
-            (Cs.Didactic.model ())
-        in
-        (* flat actors have a thread path but no CPU grouping at depth 2;
-           the chart still renders one lane per top-level subsystem *)
-        let g = Umlfront_dataflow.Trace_export.gantt (Sdf.of_model out.Core.Flow.caam) in
-        check Alcotest.bool "renders" true (String.length g >= 0));
     test "report caam tree names every channel protocol" (fun () ->
         let out = Core.Flow.run (Cs.Didactic.model ()) in
         let tree = Core.Report.caam_tree out.Core.Flow.caam in

@@ -362,28 +362,6 @@ let kpn_tests =
               Alcotest.(list string)
               "sorted" [ "alpha"; "mid"; "zeta" ] victims
         | _ -> Alcotest.fail "expected Deadlock");
-    test "bounded channels block writers (artificial deadlock)" (fun () ->
-        (* With capacity 1 the producer cannot place its second token
-           and nobody ever drains the channel. *)
-        let stuck = Kpn.producer ~out:"narrow" [ 1.0; 2.0 ] in
-        (match Kpn.run ~capacity:1 [ ("p", stuck) ] with
-        | exception Kpn.Deadlock [ "p" ] -> ()
-        | exception Kpn.Deadlock _ -> Alcotest.fail "wrong victim"
-        | _ -> Alcotest.fail "expected Deadlock");
-        (* The same network with enough capacity terminates. *)
-        let outcome = Kpn.run ~capacity:2 [ ("p", Kpn.producer ~out:"narrow" [ 1.0; 2.0 ]) ] in
-        check Alcotest.int "steps" 2 outcome.Kpn.steps);
-    test "capacity 1 pipeline still flows" (fun () ->
-        let outcome =
-          Kpn.run ~capacity:1
-            [
-              ("p", Kpn.producer ~out:"a" [ 1.0; 2.0; 3.0 ]);
-              ("m", Kpn.map1 ~inp:"a" ~out:"b" ~n:3 (fun x -> x +. 10.0));
-              ("c", Kpn.consumer ~inp:"b" ~n:3);
-            ]
-        in
-        check Alcotest.(option (float 1e-9)) "sum" (Some 36.0)
-          (List.assoc_opt "c" outcome.Kpn.results));
     test "fuel exhausts on livelock" (fun () ->
         let rec ping () = Kpn.Write ("loop", 0.0, fun () -> drain ())
         and drain () = Kpn.Read ("loop", fun _ -> ping ()) in

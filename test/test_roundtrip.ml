@@ -159,6 +159,39 @@ let capture_tests =
         match Core.Capture.run plain with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
+    test "block paths that sanitize alike capture apart" (fun () ->
+        (* T1's S-Functions calc and dec renamed x.y and x_y: both paths
+           spell CPU1_T1_x_y once sanitized. *)
+        let module S = Umlfront_simulink.System in
+        let out = Core.Flow.run ~strategy:Core.Flow.Use_deployment (Cs.Didactic.model ()) in
+        let rename = function "calc" -> "x.y" | "dec" -> "x_y" | name -> name in
+        let port (r : S.port_ref) = { r with S.block = rename r.S.block } in
+        let root =
+          S.map_systems
+            (fun path sys ->
+              if path <> [ "CPU1"; "T1" ] then sys
+              else
+                {
+                  sys with
+                  S.sys_blocks =
+                    List.map (fun b -> { b with S.blk_name = rename b.S.blk_name }) sys.S.sys_blocks;
+                  sys_lines =
+                    List.map (fun (l : S.line) -> { S.src = port l.S.src; dst = port l.S.dst })
+                      sys.S.sys_lines;
+                })
+            out.Core.Flow.caam.Model.root
+        in
+        let caam = { out.Core.Flow.caam with Model.root } in
+        let recovered = Core.Capture.run caam in
+        check Alcotest.int "valid" 0 (List.length (U.Validate.check recovered));
+        let objects = List.map (fun i -> i.U.Classifier.inst_name) recovered.U.Model.instances in
+        List.iter
+          (fun o -> check Alcotest.bool o true (List.mem o objects))
+          [ "o_CPU1_T1_x_y"; "o_CPU1_T1_x_y_2" ];
+        let out2 = Core.Flow.run ~strategy:Core.Flow.Use_deployment recovered in
+        check Alcotest.(list string) "caam ok" [] (Caam.check out2.Core.Flow.caam);
+        check Alcotest.(list (pair string string)) "same threads"
+          (Caam.thread_names caam) (Caam.thread_names out2.Core.Flow.caam));
   ]
 
 let pipeline_tests =

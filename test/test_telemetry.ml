@@ -1,6 +1,7 @@
 (* Causal token tracing end to end: the Telemetry sink itself, the SDF
-   executor and KPN scheduler reporting into it, the stall watchdog,
-   and the CLI surface (stats formats, journal, bench-diff). *)
+   executor and KPN scheduler reporting into it, KPN deadlock victims
+   in the journal, and the CLI surface (stats formats, journal,
+   bench-diff). *)
 
 module Obs = Umlfront_obs
 module Json = Umlfront_obs.Json
@@ -149,68 +150,7 @@ let kpn_traces_tokens () =
       check Alcotest.string "consumer patched in" "cons" p.T.token_dst)
     provs
 
-(* --- the stall watchdog ---------------------------------------------- *)
-
-let watchdog_names_blocked_actors () =
-  (* Two processes reading channels nobody writes: a true deadlock. *)
-  let net =
-    [
-      ("pa", Kpn.Read ("x", fun _ -> Kpn.Done 0.0));
-      ("pb", Kpn.Read ("y", fun _ -> Kpn.Done 0.0));
-    ]
-  in
-  match Kpn.run ~watchdog:1000 net with
-  | _ -> Alcotest.fail "expected the watchdog to trip"
-  | exception Kpn.Stalled st ->
-      (match st.Kpn.stall_reason with
-      | `Deadlock -> ()
-      | _ -> Alcotest.fail "expected a deadlock stall");
-      check Alcotest.(list string) "blocked actors named, sorted" [ "pa"; "pb" ]
-        (List.map (fun b -> b.Kpn.b_actor) st.Kpn.stall_blocked);
-      List.iter
-        (fun b ->
-          check Alcotest.bool "blocked on a read" true (b.Kpn.b_op = `Read))
-        st.Kpn.stall_blocked;
-      check Alcotest.(list string) "blocking channels" [ "x"; "y" ]
-        (List.map (fun b -> b.Kpn.b_channel) st.Kpn.stall_blocked);
-      let report = Kpn.stall_to_string st in
-      List.iter
-        (fun needle ->
-          check Alcotest.bool ("report mentions " ^ needle) true (contains report needle))
-        [ "deadlock"; "pa"; "pb"; "blocked on read x" ]
-
-let watchdog_catches_livelock () =
-  (* A ping-pong pair that always makes progress but never completes:
-     invisible to deadlock detection, caught by the progress budget. *)
-  let rec ping () = Kpn.Write ("x", 1.0, fun () -> Kpn.Read ("y", fun _ -> ping ()))
-  and pong () = Kpn.Read ("x", fun _ -> Kpn.Write ("y", 0.0, fun () -> pong ())) in
-  Obs.Journal.reset ();
-  (match Kpn.run ~watchdog:50 [ ("ping", ping ()); ("pong", pong ()) ] with
-  | _ -> Alcotest.fail "expected the watchdog to trip"
-  | exception Kpn.Stalled st ->
-      (match st.Kpn.stall_reason with
-      | `No_completion budget -> check Alcotest.int "budget echoed" 50 budget
-      | _ -> Alcotest.fail "expected a no-completion stall");
-      check Alcotest.bool "past the budget" true (st.Kpn.stall_steps > 50);
-      check Alcotest.(list string) "both livelock suspects listed" [ "ping"; "pong" ]
-        (List.map (fun b -> b.Kpn.b_actor) st.Kpn.stall_blocked));
-  check Alcotest.bool "stall journaled" true
-    (Obs.Journal.filter ~kind:"kpn.stall" (Obs.Journal.entries ()) <> [])
-
-let watchdog_wraps_fuel_exhaustion () =
-  let rec ping () = Kpn.Write ("x", 1.0, fun () -> Kpn.Read ("y", fun _ -> ping ()))
-  and pong () = Kpn.Read ("x", fun _ -> Kpn.Write ("y", 0.0, fun () -> pong ())) in
-  let net () = [ ("ping", ping ()); ("pong", pong ()) ] in
-  (match Kpn.run ~fuel:10 ~watchdog:1000 (net ()) with
-  | _ -> Alcotest.fail "expected a stall"
-  | exception Kpn.Stalled st -> (
-      match st.Kpn.stall_reason with
-      | `Out_of_fuel -> ()
-      | _ -> Alcotest.fail "expected an out-of-fuel stall"));
-  (* Without the watchdog, the classic exception is unchanged. *)
-  match Kpn.run ~fuel:10 (net ()) with
-  | _ -> Alcotest.fail "expected Out_of_fuel"
-  | exception Kpn.Out_of_fuel -> ()
+(* --- KPN deadlock victims ------------------------------------------- *)
 
 let deadlock_victims_journaled () =
   Obs.Journal.reset ();
@@ -378,9 +318,6 @@ let suite =
         test "sink: flow events, token_at, DOT export" sink_exports;
         test "exec: crane tokens traced per round" exec_traces_crane_tokens;
         test "kpn: tokens traced with write indices" kpn_traces_tokens;
-        test "watchdog: deadlock names blocked actors" watchdog_names_blocked_actors;
-        test "watchdog: livelock trips the progress budget" watchdog_catches_livelock;
-        test "watchdog: fuel exhaustion wrapped" watchdog_wraps_fuel_exhaustion;
         test "deadlock victims reach the journal" deadlock_victims_journaled;
         test "cli: stats --format json round-trips" cli_stats_json_roundtrips;
         test "cli: stats --format openmetrics" cli_stats_openmetrics;
